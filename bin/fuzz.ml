@@ -13,21 +13,24 @@ open Cmdliner
 module Fuzz = E2e_fuzz.Fuzz
 module Gen = E2e_fuzz.Gen
 module Serve_fuzz = E2e_fuzz.Serve_fuzz
+module Codec_fuzz = E2e_fuzz.Codec_fuzz
 module Pool = E2e_exec.Pool
 module Obs = E2e_obs.Obs
 module Json = E2e_obs.Json
 
 (* Model classes check one solver against its oracle on one instance;
    the serve class checks the whole admission service (batching + cache)
-   against its sequential reference on one request log. *)
-type cls = Model of Gen.model_class | Serve
+   against its sequential reference on one request log; the codec class
+   checks the protocol's scanner and renderer against the retained
+   reference codec. *)
+type cls = Model of Gen.model_class | Serve | Codec
 
-let all_classes = List.map (fun c -> Model c) Gen.all @ [ Serve ]
+let all_classes = List.map (fun c -> Model c) Gen.all @ [ Serve; Codec ]
 
 let classes_arg =
   let classes_conv =
     Arg.enum
-      (("all", all_classes) :: ("serve", [ Serve ])
+      (("all", all_classes) :: ("serve", [ Serve ]) :: ("codec", [ Codec ])
       :: List.map (fun c -> (Gen.name c, [ Model c ])) Gen.all)
   in
   let doc =
@@ -36,7 +39,8 @@ let classes_arg =
      (indexed single-machine engine vs the retained scan-based reference, large instances), \
      $(b,eedf-inc) (incremental add/drop re-solves vs from-scratch after every edit), \
      $(b,serve) (admission-service request logs, batched-and-cached vs sequential \
-     reference), or $(b,all)."
+     reference), $(b,codec) (protocol scanner and renderer vs the reference codec, on random \
+     outcomes and random or byte-mutated request lines), or $(b,all)."
   in
   Arg.(value & opt classes_conv all_classes & info [ "class" ] ~docv:"CLASS" ~doc)
 
@@ -80,13 +84,23 @@ let run classes trials seed jobs corpus max_shrink metrics =
     Obs.set_stats true;
     Obs.reset_metrics ()
   end;
-  let model_classes = List.filter_map (function Model c -> Some c | Serve -> None) classes in
+  let model_classes =
+    List.filter_map (function Model c -> Some c | Serve | Codec -> None) classes
+  in
   let reports = Fuzz.run ~jobs ~max_shrink ~seed ~trials model_classes in
   List.iter (fun r -> Format.printf "%a@." Fuzz.pp_report r) reports;
   let serve_report =
     if List.mem Serve classes then begin
       let r = Serve_fuzz.run ~jobs ~max_shrink ~seed ~trials () in
       Format.printf "%a@." Serve_fuzz.pp_report r;
+      Some r
+    end
+    else None
+  in
+  let codec_report =
+    if List.mem Codec classes then begin
+      let r = Codec_fuzz.run ~seed ~trials () in
+      Format.printf "%a@." Codec_fuzz.pp_report r;
       Some r
     end
     else None
@@ -115,9 +129,12 @@ let run classes trials seed jobs corpus max_shrink metrics =
       Obs.set_stats false);
   let bugs =
     Fuzz.total_findings reports
-    + match serve_report with
+    + (match serve_report with
       | None -> 0
-      | Some r -> List.length r.Serve_fuzz.findings
+      | Some r -> List.length r.Serve_fuzz.findings)
+    + match codec_report with
+      | None -> 0
+      | Some r -> List.length r.Codec_fuzz.findings
   in
   Format.printf "total: %d class(es), %d trials each, %d disagreement(s)@."
     (List.length classes) trials bugs;

@@ -627,17 +627,23 @@ let client_loop t (conn : Wire.conn) r =
         Wire.push_cell conn (End None)
     | `Too_long -> Wire.push_cell conn (End (Some "error shop=- request line too long"))
     | `Line l ->
-        let trimmed = String.trim l in
-        if trimmed = "" || trimmed.[0] = '#' then loop ()
+        (* Words are found in place: only the keyword and the routing
+           token are copied, never the (possibly kilobyte-long) line. *)
+        let stop = Protocol.trim_end l 0 (String.length l) in
+        let i = Protocol.skip_space l 0 stop in
+        if i = stop || l.[i] = '#' then loop ()
         else begin
-          let keyword, rest = Protocol.cut_word l in
-          match keyword with
-          | "hello" -> Wire.push_line conn (Protocol.render_hello ~requested:rest); loop ()
-          | "ping" when rest = "" -> Wire.push_line conn pong; loop ()
-          | "quit" when rest = "" -> Wire.push_cell conn (End (Some "bye"))
-          | "stats" when rest = "" -> Wire.push_line conn (stats_line t); loop ()
-          | "metrics" when rest = "" -> Wire.push_line conn (gather_metrics t); loop ()
-          | k when k = ctl_version -> Wire.push_line conn (handle_ctl t rest); loop ()
+          let e = Protocol.word_end l i stop in
+          let r = Protocol.skip_space l e stop in
+          let bare = r = stop in
+          let rest () = String.sub l r (stop - r) in
+          match String.sub l i (e - i) with
+          | "hello" -> Wire.push_line conn (Protocol.render_hello ~requested:(rest ())); loop ()
+          | "ping" when bare -> Wire.push_line conn pong; loop ()
+          | "quit" when bare -> Wire.push_cell conn (End (Some "bye"))
+          | "stats" when bare -> Wire.push_line conn (stats_line t); loop ()
+          | "metrics" when bare -> Wire.push_line conn (gather_metrics t); loop ()
+          | k when k = ctl_version -> Wire.push_line conn (handle_ctl t (rest ())); loop ()
           | k when starts_with ~prefix:"ctl/" k ->
               Wire.push_line conn
                 (Printf.sprintf "error unsupported control version %s (want %s)" k ctl_version);
@@ -646,8 +652,8 @@ let client_loop t (conn : Wire.conn) r =
               (* Anything else — including malformed requests — is the
                  shard's to answer, so error texts match a direct
                  connection byte for byte. *)
-              let shop, _ = Protocol.cut_word rest in
-              let key = if shop = "" then trimmed else shop in
+              let se = Protocol.word_end l r stop in
+              let key = if se = r then String.sub l i (stop - i) else String.sub l r (se - r) in
               Semaphore.Counting.acquire conn.Wire.window;
               let p = { Wire.line = None } in
               Wire.push_cell conn (Out p);

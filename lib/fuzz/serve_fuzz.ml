@@ -120,7 +120,7 @@ let gen_log g =
 (* ------------------------------------------------------------------ *)
 (* Differential comparison                                            *)
 
-let outcome_sig o = Format.asprintf "%a" Batcher.pp_outcome o
+let outcome_sig o = Protocol.render_reply ~schedules:false o
 
 (* Batched, cached, [jobs] domains. *)
 let run_batched ~jobs log =

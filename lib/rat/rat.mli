@@ -112,11 +112,32 @@ val of_float : ?max_den:int -> float -> t
     @raise Overflow on finite magnitudes of [2^62] or more. *)
 
 val of_decimal_string : string -> t
-(** Parse ["3"], ["-2.75"], ["4/3"] style literals exactly.
-    @raise Invalid_argument on malformed input. *)
+(** Parse ["3"], ["-2.75"], ["-.5"], ["4/3"] style literals exactly,
+    ignoring surrounding whitespace.  The grammar is [[-]D], [[-]D/D]
+    and [[-][D].D] with [D] one or more ASCII digits: no [+] sign, no
+    sign after [/] or [.], no [0x]/[0o]/[0b] prefixes, no [_]
+    separators, and a denominator of [0] is refused.  Literals whose
+    digits do not fit a native int (or whose exact value is not
+    representable) are refused too, never wrapped.
+    @raise Invalid_argument ["Rat.of_decimal_string: \"LIT\""] (the
+    trimmed literal, OCaml-escaped) on anything else. *)
+
+val of_decimal_sub : string -> int -> int -> t
+(** [of_decimal_sub s i j] is [of_decimal_string (String.sub s i (j - i))]
+    — same values, same error text — scanned in place, digit by digit,
+    without copying the literal. *)
 
 val to_string : t -> string
 (** ["num/den"], or just ["num"] for integers. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the {!to_string} rendering to a buffer through a hand-rolled
+    digit writer (no intermediate string, no [Printf]) — the number
+    formatter of the serving path. *)
+
+val add_int_to_buffer : Buffer.t -> int -> unit
+(** Append the decimal digits of an int, exactly as [string_of_int]
+    renders them. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints like {!to_string}. *)

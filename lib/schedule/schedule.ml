@@ -199,18 +199,29 @@ let pp_table ppf t =
   done;
   Format.fprintf ppf "@]"
 
+let add_csv ~sep buf t =
+  Buffer.add_string buf "task,stage,processor,start,finish";
+  let seq = t.shop.Recurrence_shop.visit.Visit.sequence in
+  for i = 0 to n_tasks t - 1 do
+    let row = t.starts.(i) and taus = t.shop.Recurrence_shop.tasks.(i).Task.proc_times in
+    for j = 0 to Array.length row - 1 do
+      Buffer.add_char buf sep;
+      Rat.add_int_to_buffer buf i;
+      Buffer.add_char buf ',';
+      Rat.add_int_to_buffer buf j;
+      Buffer.add_char buf ',';
+      Rat.add_int_to_buffer buf (seq.(j) + 1);
+      Buffer.add_char buf ',';
+      Rat.add_to_buffer buf row.(j);
+      Buffer.add_char buf ',';
+      Rat.add_to_buffer buf (Rat.add row.(j) taus.(j))
+    done
+  done
+
 let to_csv t =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf "task,stage,processor,start,finish\n";
-  for i = 0 to n_tasks t - 1 do
-    for j = 0 to stages t - 1 do
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%s,%s\n" i j
-           (t.shop.Recurrence_shop.visit.Visit.sequence.(j) + 1)
-           (Rat.to_string (start t ~task:i ~stage:j))
-           (Rat.to_string (finish t ~task:i ~stage:j)))
-    done
-  done;
+  add_csv ~sep:'\n' buf t;
+  Buffer.add_char buf '\n';
   Buffer.contents buf
 
 let pp_gantt ?(unit_time = Rat.one) ppf t =

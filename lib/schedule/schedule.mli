@@ -81,6 +81,13 @@ val to_csv : t -> string
     [task,stage,processor,start,finish] with exact rational fields
     (["3/2"]).  For feeding external plotting or runtime tables. *)
 
+val add_csv : sep:char -> Buffer.t -> t -> unit
+(** Append the {!to_csv} lines to a buffer, separated by [sep] and with
+    no terminator after the last: [to_csv t] is [add_csv ~sep:'\n']
+    plus a final newline, and the serve protocol's framed [schedule=]
+    field is [add_csv ~sep:';'].  Numbers go through
+    {!E2e_rat.Rat.add_to_buffer}. *)
+
 val pp_gantt : ?unit_time:rat -> Format.formatter -> t -> unit
 (** ASCII Gantt chart, one row per processor, one column per [unit_time]
     (default 1).  Stage occupying a cell prints the task id (mod 10);

@@ -380,29 +380,3 @@ let decision_kind = function
   | Admitted _ -> "admitted"
   | Rejected _ -> "rejected"
   | Undecided _ -> "undecided"
-
-let one_line s =
-  String.map (function '\n' | '\r' -> ' ' | c -> c) s
-
-let pp_certificate ppf = function
-  | None -> Format.pp_print_string ppf "none"
-  | Some (Infeasibility.Negative_slack { task }) ->
-      Format.fprintf ppf "negative-slack(task=T%d)" task
-  | Some (Infeasibility.Overloaded_window { processor; window_start; window_end; demand }) ->
-      Format.fprintf ppf "overloaded-window(proc=P%d,window=[%s,%s],demand=%s)" (processor + 1)
-        (Rat.to_string window_start) (Rat.to_string window_end) (Rat.to_string demand)
-
-let pp_reply ppf = function
-  | Decided { shop; n_tasks; decision = Admitted { schedule; algo } } ->
-      Format.fprintf ppf "admitted shop=%s tasks=%d algo=%s makespan=%s" shop n_tasks algo
-        (Rat.to_string (Schedule.makespan schedule))
-  | Decided { shop; n_tasks; decision = Rejected { certificate } } ->
-      Format.fprintf ppf "rejected shop=%s tasks=%d certificate=%a" shop n_tasks pp_certificate
-        certificate
-  | Decided { shop; n_tasks; decision = Undecided { reason } } ->
-      Format.fprintf ppf "undecided shop=%s tasks=%d reason=%s" shop n_tasks reason
-  | Queried { shop; n_tasks = Some n } -> Format.fprintf ppf "info shop=%s tasks=%d" shop n
-  | Queried { shop; n_tasks = None } -> Format.fprintf ppf "info shop=%s unknown" shop
-  | Dropped { shop; existed } -> Format.fprintf ppf "dropped shop=%s existed=%b" shop existed
-  | Request_error { shop; message } ->
-      Format.fprintf ppf "error shop=%s %s" shop (one_line message)

@@ -252,7 +252,3 @@ val decision_kind : decision -> string
 (** ["admitted"], ["rejected"] or ["undecided"] — the verdict signature
     that must agree between cached and uncached runs (schedules may
     legitimately differ between permuted instances; verdicts never). *)
-
-val pp_reply : Format.formatter -> reply -> unit
-(** One-line, deterministic rendering (the transport protocol reuses
-    it). *)

@@ -351,10 +351,6 @@ let drain t =
 
 type outcome = Reply of Admission.reply | Overloaded
 
-let pp_outcome ppf = function
-  | Reply r -> Admission.pp_reply ppf r
-  | Overloaded -> Format.pp_print_string ppf "overloaded"
-
 let process_log t log =
   let log = Array.of_list log in
   let outcomes = Array.make (Array.length log) Overloaded in

@@ -133,10 +133,6 @@ val drain : t -> (Admission.request * Rtrace.t * Admission.reply) list
 
 type outcome = Reply of Admission.reply | Overloaded
 
-val pp_outcome : Format.formatter -> outcome -> unit
-(** [Reply r] prints via {!Admission.pp_reply}; [Overloaded] prints
-    ["overloaded"]. *)
-
 val process_log : t -> Admission.request list -> outcome array
 (** Replay a whole request log: submit every request in order (requests
     past queue capacity get [Overloaded]), then drain, finishing every

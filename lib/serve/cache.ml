@@ -38,12 +38,16 @@ let header (visit : Visit.t) =
   Array.iteri
     (fun i p ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int p))
+      Rat.add_int_to_buffer buf p)
     visit.Visit.sequence;
   Buffer.add_char buf '\n';
   if not (Visit.is_traditional visit) then begin
     Buffer.add_string buf "visit";
-    Array.iter (fun p -> Buffer.add_string buf (Printf.sprintf " %d" (p + 1))) visit.Visit.sequence;
+    Array.iter
+      (fun p ->
+        Buffer.add_char buf ' ';
+        Rat.add_int_to_buffer buf (p + 1))
+      visit.Visit.sequence;
     Buffer.add_char buf '\n'
   end;
   Buffer.contents buf

@@ -22,8 +22,10 @@
     [<shop>] is a name matching [[A-Za-z0-9_.-]+].  [<instance>] is the
     {!E2e_model.Instance_io} text format with [;] standing for newline,
     e.g. [visit 1 2 ; task 0 10 1 1 ; task 0 8 2 2]; [<tasks>] is the
-    same but restricted to [task] directives.  Numbers are decimals or
-    exact fractions ([11/4]).
+    same but restricted to [task] directives.  Numbers are integers,
+    decimals or exact fractions — [[-]D], [[-][D].D] or [[-]D/D] with
+    [D] ASCII digits ([7], [-.5], [11/4]); nothing else (no [+], no
+    [0x]/[_] literal syntax, nothing that overflows) is a number.
 
     Reply grammar (one line, first word is the reply tag):
 
@@ -72,14 +74,36 @@ type item =
 
 val cut_word : string -> string * string
 (** First whitespace-delimited word of a trimmed line and the trimmed
-    remainder — the protocol's tokenizer, exposed so the cluster
-    dispatcher can extract the routing keyword and shop name without
-    parsing (or validating) the rest of the request. *)
+    remainder — {!parse_request}'s tokenizer on whole strings, used by
+    the cluster dispatcher's control grammar. *)
+
+(** {2 Offset-based word finding}
+
+    The scanner {!parse_request} runs on, exposed so the cluster
+    dispatcher can find the routing keyword and shop token of a
+    forwarded line in place, copying only the token.  Whitespace is
+    ASCII space, tab, CR, LF and form feed. *)
+
+val skip_space : string -> int -> int -> int
+(** [skip_space s i stop]: the first index in [[i, stop)] that is not
+    whitespace, or [stop]. *)
+
+val word_end : string -> int -> int -> int
+(** [word_end s i stop]: the first whitespace index in [[i, stop)], or
+    [stop] — the end of the word starting at [i]. *)
+
+val trim_end : string -> int -> int -> int
+(** [trim_end s start stop]: [stop] moved left past trailing whitespace,
+    never below [start]. *)
 
 val parse_request : string -> (item, string) result
 (** Parse one request line.  [Error] carries a human-readable message
     (the server wraps it in an [error] reply rather than dropping the
-    session). *)
+    session).  One pass over the line by offsets: inside a [submit] or
+    [add] payload [;] ends a directive just as a newline does, and
+    numbers are scanned digit by digit ({!E2e_rat.Rat.of_decimal_sub}).
+    The list-based parser this replaced is kept as the differential
+    reference in [E2e_fuzz.Codec_ref]. *)
 
 val render_request : Admission.request -> string
 (** One request line, no terminator ([parse_request] round-trips it) —
@@ -88,7 +112,13 @@ val render_request : Admission.request -> string
 val render_reply : ?schedules:bool -> Batcher.outcome -> string
 (** One reply line, no terminator.  [schedules] (default [true])
     controls whether [admitted] replies carry the full [schedule=]
-    field — load generators turn it off to keep reply parsing cheap. *)
+    field — load generators turn it off to keep reply parsing cheap.
+    The line is written into one buffer sized from the schedule's row
+    count, numbers through {!E2e_rat.Rat.add_to_buffer}; no [Format] or
+    [Printf] is involved. *)
+
+val pp_outcome : Format.formatter -> Batcher.outcome -> unit
+(** Prints [render_reply ~schedules:false] — for test and fuzz reports. *)
 
 val render_hello : requested:string -> string
 (** [ok e2e-serve/1] when [requested] matches {!version}, an [error]
@@ -114,7 +144,3 @@ val render_metrics_striped : ?read_errors:int -> Stripes.t -> string
 (** {!render_metrics} aggregated across stripes, with two extra
     samples: [serve_stripes] (the drainer stripe count) and
     [serve_transport_read_errors_total]. *)
-
-val render_schedule : E2e_schedule.Schedule.t -> string
-(** The [;]-framed CSV used in [admitted] replies (exposed for tests
-    and the load generator). *)

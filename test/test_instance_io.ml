@@ -132,6 +132,54 @@ let test_deadline_before_release_rejected () =
   Alcotest.(check bool) "window validation propagates" true
     (match Instance_io.parse "task 5 3 1\n" with Error _ -> true | Ok _ -> false)
 
+(* Regression: numbers and visit processor numbers went through
+   [int_of_string_opt], so OCaml literals ([0x10], [1_0], [0b1], [+5])
+   were accepted as task parameters.  They are now parse errors naming
+   the line and the offending literal. *)
+let test_ocaml_literals_rejected () =
+  List.iter
+    (fun (text, expected) -> Alcotest.(check string) text expected (parse_err text))
+    [
+      ("task 0x0 0x10 1_0 0b1\n", "line 1: Rat.of_decimal_string: \"0x0\"");
+      ("task 0 10 1 1\ntask 0 10 1.0x1 1.+5\n", "line 2: Rat.of_decimal_string: \"1.0x1\"");
+      ("task +0 10 1 1\n", "line 1: Rat.of_decimal_string: \"+0\"");
+      ("task 0 10 1/-2 1\n", "line 1: Rat.of_decimal_string: \"1/-2\"");
+      ("task 0 1_000 1 1\n", "line 1: Rat.of_decimal_string: \"1_000\"");
+      ("task 0 -4611686018427387904 1\n",
+       "line 1: Rat.of_decimal_string: \"-4611686018427387904\"");
+      ("visit 0x1 2\ntask 0 10 1 1\n", "line 1: visit expects 1-based processor numbers");
+      ("visit +1 2\ntask 0 10 1 1\n", "line 1: visit expects 1-based processor numbers");
+    ];
+  let shop = parse_ok "task -.5 10 .25 0.50\n" in
+  check_rat "-.5 release" (Rat.make (-1) 2) shop.Recurrence_shop.tasks.(0).Task.release;
+  check_rat ".25 tau" (Rat.make 1 4) shop.Recurrence_shop.tasks.(0).Task.proc_times.(0)
+
+(* The framed form is the file form with [;] for newline — same values,
+   same errors, same line numbers — scanned in place from an offset. *)
+let test_framed_matches_file_form () =
+  List.iter
+    (fun framed ->
+      let prefix = "submit s1 " in
+      let line = prefix ^ framed in
+      let via_framed = Instance_io.parse_framed line (String.length prefix) (String.length line) in
+      let via_file = Instance_io.parse (String.map (function ';' -> '\n' | c -> c) framed) in
+      let show = function
+        | Ok shop -> "Ok " ^ Instance_io.to_string shop
+        | Error m -> "Error " ^ m
+      in
+      Alcotest.(check string) framed (show via_file) (show via_framed))
+    [
+      "task 0 10 1 1 ; task 0 12 1 1";
+      "visit 1 2 1 ; task 0 3 2 1 1 ; task 0 4 1 2 1";
+      " ;; task 0 10 1 1 # note ; task\t1\t9  1 1 ; ";
+      "task 0 10 1 ; bogus 1";
+      "task 0 10 ; task 0 10 1";
+      "task 0 10 1 ; task 0 10 1 1";
+      "visit 1 2 ; visit 1 2 ; task 0 10 1 1";
+      "# only ; ;";
+      "";
+    ]
+
 let test_parse_file () =
   let path = Filename.temp_file "e2e" ".txt" in
   Out_channel.with_open_text path (fun oc ->
@@ -156,6 +204,8 @@ let suite =
     Alcotest.test_case "round trip (recurrent)" `Quick test_roundtrip_recurrent;
     Alcotest.test_case "round trip (fuzzed, all classes)" `Quick test_roundtrip_fuzzed;
     Alcotest.test_case "malformed rationals rejected" `Quick test_malformed_rationals;
+    Alcotest.test_case "OCaml literals rejected" `Quick test_ocaml_literals_rejected;
+    Alcotest.test_case "framed form matches file form" `Quick test_framed_matches_file_form;
     Alcotest.test_case "malformed structure rejected" `Quick test_malformed_structure;
     Alcotest.test_case "bad window rejected" `Quick test_deadline_before_release_rejected;
   ]

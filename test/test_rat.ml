@@ -52,6 +52,79 @@ let test_parse () =
   Alcotest.check_raises "garbage" (Invalid_argument "Rat.of_decimal_string: \"x\"") (fun () ->
       ignore (q "x"))
 
+(* Regression: [of_decimal_string] handed its tokens to
+   [int_of_string_opt], so OCaml's own literal syntax leaked into the
+   wire grammar ([0x10] parsed as 16, [1_000] as 1000, [1.+5] as 21/20),
+   and overflowing literals raised [Overflow]/[Division_by_zero] instead
+   of the parse error.  Only [-]D, [-]D/D and [-][D].D are accepted. *)
+let test_parse_literal_grammar () =
+  let rejects s =
+    Alcotest.check_raises s
+      (Invalid_argument (Printf.sprintf "Rat.of_decimal_string: %S" (String.trim s)))
+      (fun () -> ignore (q s))
+  in
+  List.iter rejects
+    [ "0x10"; "0x0"; "1_000"; "0b11/0x3"; "1.0x1"; "1.+5"; "+5"; "1/-2"; "1/+2"; "0o7";
+      "0u5"; "1.-5"; "-"; "."; "-."; "5."; "1/"; "/2"; "1/0"; "1.5.5"; "1/2/3"; "1.5/2";
+      "1e5"; "--1"; " 1 2 "; "\r"; "";
+      (* overflow: refused, never wrapped or raised as Overflow *)
+      "4611686018427387904"; "-4611686018427387904"; "99999999999999999999";
+      "1/4611686018427387904"; "0.0000000000000000001"; "4611686018427387903.5" ];
+  check_rat ".5" (Rat.make 1 2) (q ".5");
+  check_rat "-.5" (Rat.make (-1) 2) (q "-.5");
+  check_rat "-0" Rat.zero (q "-0");
+  check_rat "-0/7" Rat.zero (q "-0/7");
+  check_rat "leading zeros" (r 7) (q "007");
+  check_rat "trailing zeros" (Rat.make 3 2) (q "1.50000000000000000000000");
+  check_rat "18 fractional digits" (Rat.make 1 1_000_000_000_000_000_000) (q "0.000000000000000001");
+  check_rat "max_int" (r max_int) (q "4611686018427387903");
+  check_rat "-max_int" (r (-max_int)) (q "-4611686018427387903");
+  check_rat "-4/6 normalised" (Rat.make (-2) 3) (q "-4/6");
+  check_rat "surrounding whitespace" (Rat.make 5 4) (q " \t1.25\r\n");
+  check_rat "sub-span" (Rat.make 3 4) (Rat.of_decimal_sub "task 3/4 x" 5 8)
+
+(* The digit writer against [to_string] at the edges: 0, every
+   power-of-ten boundary (9/10 digits included), max_int and -max_int,
+   alone and as numerator/denominator. *)
+let prop_add_to_buffer =
+  let boundary =
+    QCheck.Gen.(
+      oneof
+        [
+          int;
+          oneofl [ 0; 1; 9; 10; 11; max_int; max_int - 1; 999_999_999; 1_000_000_000;
+                   9_999_999_999; 10_000_000_000 ];
+          map
+            (fun (k, d) ->
+              let p = int_of_string ("1" ^ String.make k '0') in
+              p + d)
+            (pair (int_range 1 18) (int_range (-1) 1));
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun (n, neg) d ->
+          let n = if n = min_int then max_int else abs n in
+          ((if neg then -n else n), max 1 (abs d)))
+        (pair boundary bool)
+        (oneof [ return 1; boundary ]))
+  in
+  QCheck.Test.make ~name:"rat digit writer = to_string" ~count:2000
+    (QCheck.make ~print:(fun (n, d) -> Printf.sprintf "%d/%d" n d) gen)
+    (fun (n, d) ->
+      let t = Rat.make n d in
+      let buf = Buffer.create 8 in
+      Rat.add_to_buffer buf t;
+      let ibuf = Buffer.create 8 in
+      Rat.add_int_to_buffer ibuf n;
+      Buffer.contents buf = Rat.to_string t && Buffer.contents ibuf = string_of_int n)
+
+let test_add_int_to_buffer_min_int () =
+  let buf = Buffer.create 8 in
+  Rat.add_int_to_buffer buf min_int;
+  Alcotest.(check string) "min_int" (string_of_int min_int) (Buffer.contents buf)
+
 let test_to_string () =
   Alcotest.(check string) "integer" "7" (Rat.to_string (r 7));
   Alcotest.(check string) "fraction" "-3/2" (Rat.to_string (Rat.make 3 (-2)));
@@ -235,6 +308,9 @@ let suite =
     Alcotest.test_case "floor/ceil" `Quick test_floor_ceil;
     Alcotest.test_case "multiples" `Quick test_multiples;
     Alcotest.test_case "parsing" `Quick test_parse;
+    Alcotest.test_case "parsing: decimal literal grammar only" `Quick test_parse_literal_grammar;
+    Alcotest.test_case "digit writer: min_int" `Quick test_add_int_to_buffer_min_int;
+    to_alcotest prop_add_to_buffer;
     Alcotest.test_case "printing" `Quick test_to_string;
     Alcotest.test_case "of_float" `Quick test_of_float;
     Alcotest.test_case "of_float rejects non-finite" `Quick test_of_float_non_finite;

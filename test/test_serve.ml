@@ -92,7 +92,7 @@ let gen_log seed requests =
 let render_outcomes outcomes =
   String.concat "\n"
     (Array.to_list
-       (Array.map (fun o -> Format.asprintf "%a" Batcher.pp_outcome o) outcomes))
+       (Array.map (Protocol.render_reply ~schedules:false) outcomes))
 
 let run_log ~jobs ~cache_capacity log =
   let config =
@@ -236,6 +236,12 @@ let test_fuzz_serve_class () =
   let r = Serve_fuzz.run ~jobs:2 ~seed:11 ~trials:25 () in
   Alcotest.(check int) "trials" 25 r.Serve_fuzz.trials;
   Alcotest.(check int) "all agreed" 25 r.Serve_fuzz.agreed
+
+let test_fuzz_codec_class () =
+  let r = E2e_fuzz.Codec_fuzz.run ~seed:11 ~trials:500 () in
+  if r.E2e_fuzz.Codec_fuzz.findings <> [] then
+    Alcotest.failf "%a" E2e_fuzz.Codec_fuzz.pp_report r;
+  Alcotest.(check int) "all agreed" 500 r.E2e_fuzz.Codec_fuzz.agreed
 
 (* ------------------------------------------------------------------ *)
 (* Soundness                                                          *)
@@ -450,7 +456,7 @@ let test_incremental_warm_path () =
     (fun o ->
       match o with
       | Batcher.Reply (Admission.Decided { decision = Admission.Admitted _; _ }) -> ()
-      | o -> Alcotest.failf "expected admitted, got %a" Batcher.pp_outcome o)
+      | o -> Alcotest.failf "expected admitted, got %a" Protocol.pp_outcome o)
     outcomes;
   let svc = Batcher.service_stats b in
   Alcotest.(check int) "both adds on the delta path" 2 svc.Batcher.inc_hits;
@@ -856,6 +862,45 @@ let test_session_oversized_line () =
       Alcotest.failf "expected greeting+reply+error then EOF, got %d lines"
         (List.length lines)
 
+(* One stdio session over pipes: every line in, every reply line out
+   (greeting first). *)
+let stdio_session lines =
+  let req_r, req_w = Unix.pipe () in
+  let rep_r, rep_w = Unix.pipe () in
+  E2e_serve.Wire.write_all req_w (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  Unix.close req_w;
+  let oc = Unix.out_channel_of_descr rep_w in
+  Server.session ~chunk:1 (Batcher.create ()) req_r oc;
+  close_out oc;
+  Unix.close req_r;
+  let ic = Unix.in_channel_of_descr rep_r in
+  let replies = In_channel.input_all ic in
+  close_in ic;
+  String.split_on_char '\n' (String.trim replies)
+
+(* Regression for the literal-grammar fix, end to end: OCaml-syntax
+   numbers used to be admitted ([0x10] as 16), and an overflowing
+   literal raised an uncaught [Rat.Overflow] that killed the server.
+   Both are now ordinary parse errors and the session carries on. *)
+let test_session_rejects_ocaml_literals () =
+  match
+    stdio_session
+      [ "submit s1 task 0x0 0x10 1_0 0b1"; "submit s2 task 0 -4611686018427387904 1";
+        "submit s3 task 0 0.00000000000000000000000000000000000000000000000000000000000000005 1";
+        "query s1"; "quit" ]
+  with
+  | [ greeting; lit; overflow; tiny; query; bye ] ->
+      Alcotest.(check string) "greeting" Protocol.greeting greeting;
+      Alcotest.(check string) "0x0 rejected"
+        "error shop=- line 1: Rat.of_decimal_string: \"0x0\"" lit;
+      Alcotest.(check string) "min_int literal rejected"
+        "error shop=- line 1: Rat.of_decimal_string: \"-4611686018427387904\"" overflow;
+      Alcotest.(check bool) "unrepresentable decimal rejected" true
+        (String.starts_with ~prefix:"error shop=- line 1: Rat.of_decimal_string:" tiny);
+      Alcotest.(check string) "nothing committed" "info shop=s1 unknown" query;
+      Alcotest.(check string) "session survives" "bye" bye
+  | lines -> Alcotest.failf "unexpected session: %s" (String.concat " | " lines)
+
 let suite =
   [
     ("cache: LRU bookkeeping", `Quick, test_cache_lru);
@@ -868,6 +913,9 @@ let suite =
     ("batcher: byte-identical replies across jobs", `Slow, test_deterministic_across_jobs);
     ("batcher: cache transparency", `Slow, test_cache_transparent);
     ("fuzz: serve differential class agrees", `Slow, test_fuzz_serve_class);
+    ("fuzz: codec differential class agrees", `Quick, test_fuzz_codec_class);
+    ("server: OCaml literals and overflowing numbers are parse errors", `Quick,
+     test_session_rejects_ocaml_literals);
     ("admission: admitted schedules pass the checker", `Quick, test_admitted_schedules_check);
     ("admission: rejection carries a confirmed certificate", `Quick,
      test_rejection_certificate);
