@@ -314,7 +314,14 @@ let brute_force_feasible ~tau jobs =
    sets.  Below [cut] the two runs are in lockstep (the edited job,
    release [>= r0], is invisible there, and [adjust_up] agrees on every
    instant below the first region difference), so the prefix is copied
-   and the heap loop resumes from its frontier. *)
+   and the heap loop resumes from its frontier.
+
+   Appends: an edit at the top release is the worst case of the resumed
+   sweep (every pass sits at or below it), yet it is what an online
+   arrival usually is.  A job appended past the horizon — above every
+   release, and with a deadline far enough above every deadline — is
+   proved not to touch any resident pass ([append] below), so it skips
+   the sweep and only extends the dispatch. *)
 
 module Inc = struct
   module Iset = Interval_set
@@ -749,6 +756,44 @@ module Inc = struct
         let prefix = reusable_prefix st ~new_core:core ~r0 ~remap in
         finish ~tau:st.tau ~jobs ~checkpoints ~core ~prefix
 
+  (* Past-horizon arrival: a job (r0, d0) appended at position n onto a
+     feasible state with a dispatch, where r0 is strictly above every
+     resident release, d0 - tau >= every resident deadline and
+     d0 - 2 tau >= r0.  Such an edit leaves every resident pass alone:
+
+     1. The new job's own pass (the highest release) sees only itself,
+        so s = d0 - tau >= r0 + tau: no region, no infeasibility.
+     2. In every lower pass the resident leaves keep their counts,
+        because d0 is above every resident deadline.  The new leaf's
+        value is g^N(d0 - tau) >= g^N(d_max) >= the old s, because
+        g x = adjust_down (x - tau) is monotone and d0 - tau lies above
+        every region (they end at resident releases).  So each pass gets
+        the same s and the same region.
+     3. The new job has the latest deadline and the latest release, so
+        EDF dispatches it after every resident job.
+
+     Hence the region set and every checkpoint survive, the new pass's
+     checkpoint (empty region set) goes in front, and the dispatch
+     resumes from the whole old order.  [None] when the test fails. *)
+  let append st (jobs : job array) ~release ~deadline =
+    match (st.core, st.disp) with
+    | Feasible_regions iset, Some od ->
+        let tau = st.tau in
+        let above_releases =
+          Array.length st.checkpoints = 0 || Rat.(release > st.checkpoints.(0).release)
+        in
+        let top = Rat.sub deadline tau in
+        if
+          above_releases
+          && Rat.(Rat.sub top tau >= release)
+          && Array.for_all (fun (j : job) -> Rat.(top >= j.deadline)) st.jobs
+        then
+          let checkpoints = Array.append [| { release; before = Iset.empty } |] st.checkpoints in
+          let disp = dispatch_from ~tau ~advance:(Iset.adjust_up iset) jobs od.order in
+          Some { st with jobs; checkpoints; disp = Some disp }
+        else None
+    | _ -> None
+
   let add_task st ~at ~release ~deadline =
     let n = Array.length st.jobs in
     if at < 0 || at > n then invalid_arg "Single_machine.Inc.add_task: position out of range";
@@ -758,7 +803,13 @@ module Inc = struct
           else if i = at then { id = i; release; deadline }
           else { (st.jobs.(i - 1)) with id = i })
     in
-    delta st jobs ~r0:release ~remap:(fun q -> if q >= at then Some (q + 1) else Some q)
+    match if at = n then append st jobs ~release ~deadline else None with
+    | Some st' ->
+        Obs.incr "eedf.inc_append";
+        st'
+    | None ->
+        Obs.incr "eedf.inc_resweep";
+        delta st jobs ~r0:release ~remap:(fun q -> if q >= at then Some (q + 1) else Some q)
 
   let remove_task st ~at =
     let n = Array.length st.jobs in

@@ -93,7 +93,13 @@ module Inc : sig
 
   val add_task : state -> at:int -> release:rat -> deadline:rat -> state
   (** New state with a job inserted at position [at] (positions at or
-      after [at] shift up).  The input state remains valid.
+      after [at] shift up).  The input state remains valid.  A
+      past-horizon arrival — [at = n_jobs] on a feasible state, [release]
+      above every resident release, [deadline - tau] at or above every
+      resident deadline and [deadline - 2 tau >= release] — keeps every
+      resident region pass and only extends the dispatch (counter
+      [eedf.inc_append]); any other insertion re-runs the passes at or
+      below [release] ([eedf.inc_resweep]).
       @raise Invalid_argument when [at] is outside [0..n_jobs]. *)
 
   val remove_task : state -> at:int -> state

@@ -178,6 +178,7 @@ let templates =
     "submit s7 task +0 10 1/-2 -0/7";
     "submit s8 task 0 99999999999999999999 1";
     "submit s9 task 0 4611686018427387903 1 ; task 0 -4611686018427387904 1";
+    "submit s18 task 4611686018427387903/2 4611686018427387902/3 1";
     "submit s10 task 0 1.0000000000000000000000001 1 ; task 0 0.50000000000000000000 1";
     "submit s11 task 0 10\r 1 1";
     "submit s12 task\r0 10 1 1";

@@ -377,6 +377,43 @@ let run_eedf_inc fs =
            mirror := insert_at at j !mirror;
            guard (Printf.sprintf "add#%d@%d" k at) !st !mirror
          done;
+         (* Past-horizon arrivals appended at the end, with the append
+            test's bounds met exactly (d0 - tau = max deadline,
+            d0 - 2 tau = r0) or missed by a quarter unit, and with r0
+            equal to the max release: both the append path and its
+            re-sweep fallback run, and the drops below then unwind the
+            mixed history. *)
+         let quarter = Rat.make 1 4 in
+         List.iteri
+           (fun i case ->
+             let top pick =
+               List.fold_left (fun acc j -> Rat.max acc (pick j)) (pick (List.hd !mirror)) !mirror
+             in
+             let r_max = top (fun (j : SM.job) -> j.release) in
+             let d_max = top (fun (j : SM.job) -> j.deadline) in
+             let tau2 = Rat.add tau tau in
+             (* Releases up to [low] let the deadline bound be the tight
+                one; above it only the window bound can be. *)
+             let low = Rat.sub d_max tau in
+             let under =
+               if Rat.(low > r_max) then Rat.div (Rat.add r_max low) (Rat.of_int 2)
+               else Rat.add r_max quarter
+             in
+             let over = Rat.add (Rat.max r_max low) quarter in
+             let release, deadline =
+               match case with
+               | `Deadline_at -> (under, Rat.add d_max tau)
+               | `Deadline_short -> (under, Rat.sub (Rat.add d_max tau) quarter)
+               | `Window_at -> (over, Rat.add over tau2)
+               | `Window_short -> (over, Rat.sub (Rat.add over tau2) quarter)
+               | `Release_at -> (r_max, Rat.max (Rat.add d_max tau) (Rat.add r_max tau2))
+             in
+             let at = List.length !mirror in
+             st := SM.Inc.add_task !st ~at ~release ~deadline;
+             mirror := !mirror @ [ { SM.id = 0; release; deadline } ];
+             guard (Printf.sprintf "arrive#%d@%d" i at) !st !mirror)
+           [ `Window_at; `Deadline_at; `Deadline_short; `Window_at; `Window_short; `Release_at;
+             `Deadline_at ];
          (* Shrink to a single job, hitting early, middle and late
             positions as the length changes parity. *)
          let step = ref 0 in

@@ -19,7 +19,7 @@ type finding = {
 
 type report = { seed : int; trials : int; agreed : int; findings : finding list }
 
-let code = 4
+let code = 6
 
 (* ------------------------------------------------------------------ *)
 (* Request-log generation: a pure function of the stream.             *)

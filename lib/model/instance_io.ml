@@ -89,6 +89,13 @@ let directive acc lineno s i stop =
       seq.(k) <- visit_number lineno s !a b;
       a := skip_sep s b stop
     done;
+    (* n stages cannot cover a processor above n, and Visit.make would
+       allocate one slot per processor up to it before saying so: answer
+       with its text first. *)
+    if Array.exists (fun p -> p > n) seq then
+      fail lineno
+        (if Array.exists (fun p -> p < 1) seq then "Visit.make: negative processor"
+         else "Visit.make: processor numbering has gaps");
     match Visit.of_one_based seq with
     | v -> acc.visit <- Some v
     | exception Invalid_argument m -> fail lineno m

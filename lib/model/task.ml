@@ -8,7 +8,11 @@ let make ~id ~release ~deadline ~proc_times =
   Array.iter
     (fun tau -> if Rat.(tau <= zero) then invalid_arg "Task.make: nonpositive processing time")
     proc_times;
-  if Rat.(deadline < release) then invalid_arg "Task.make: deadline before release";
+  (* Far-apart denominators can make the exact comparison overflow. *)
+  (match Rat.(deadline < release) with
+  | true -> invalid_arg "Task.make: deadline before release"
+  | false -> ()
+  | exception Rat.Overflow -> invalid_arg "Task.make: release and deadline out of range");
   { id; release; deadline; proc_times }
 
 let stages t = Array.length t.proc_times

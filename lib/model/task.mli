@@ -23,7 +23,8 @@ type t = {
 val make : id:int -> release:rat -> deadline:rat -> proc_times:rat array -> t
 (** Validates that all processing times are positive and that
     [release <= deadline].
-    @raise Invalid_argument otherwise. *)
+    @raise Invalid_argument otherwise, also when comparing [release]
+    with [deadline] would overflow. *)
 
 val stages : t -> int
 (** Number of subtasks. *)

@@ -27,6 +27,15 @@ let test_parallel_determinism () =
   let b = Fuzz.run_class ~jobs:3 ~seed:3 ~trials:60 Gen.H in
   Alcotest.(check string) "report identical across job counts" (render a) (render b)
 
+(* Every campaign draws trial [t] from [Prng.of_path [| seed; code; t |]],
+   so two classes sharing a code would replay one stream. *)
+let test_stream_codes_distinct () =
+  let codes =
+    List.map Gen.code Gen.all @ [ E2e_fuzz.Serve_fuzz.code; E2e_fuzz.Codec_fuzz.code ]
+  in
+  Alcotest.(check int) "distinct codes" (List.length codes)
+    (List.length (List.sort_uniq compare codes))
+
 (* {1 Generator guards} *)
 
 let test_gen_guards () =
@@ -226,6 +235,7 @@ let suite =
   @ [
       Alcotest.test_case "parallel determinism" `Quick test_parallel_determinism;
       Alcotest.test_case "generator guards" `Quick test_gen_guards;
+      Alcotest.test_case "stream codes distinct" `Quick test_stream_codes_distinct;
       Alcotest.test_case "oracle flags precondition" `Quick test_oracle_flags_precondition;
       Alcotest.test_case "oracle agrees on sane instances" `Quick
         test_oracle_agrees_on_sane_instances;

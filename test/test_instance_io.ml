@@ -154,6 +154,33 @@ let test_ocaml_literals_rejected () =
   check_rat "-.5 release" (Rat.make (-1) 2) shop.Recurrence_shop.tasks.(0).Task.release;
   check_rat ".25 tau" (Rat.make 1 4) shop.Recurrence_shop.tasks.(0).Task.proc_times.(0)
 
+(* Regression: a processor number above the directive's stage count
+   made Visit.make allocate one slot per processor up to it before
+   reporting the gap (or, past the array limit, fail with
+   "Array.make").  The parser now refuses it first, with Visit.make's
+   own texts. *)
+let test_visit_number_above_stages () =
+  List.iter
+    (fun (text, expected) -> Alcotest.(check string) text expected (parse_err text))
+    [
+      ("visit 1 3\ntask 0 10 1 1\n", "line 1: Visit.make: processor numbering has gaps");
+      ("visit 10000000\ntask 0 10 1\n", "line 1: Visit.make: processor numbering has gaps");
+      ("visit 4611686018427387903\ntask 0 10 1\n",
+       "line 1: Visit.make: processor numbering has gaps");
+      ("visit 4611686018427387903 -1\ntask 0 10 1 1\n", "line 1: Visit.make: negative processor");
+      ("visit 3 0 1\ntask 0 10 1 1 1\n", "line 1: Visit.make: negative processor");
+    ];
+  let before = Gc.allocated_bytes () in
+  ignore (Instance_io.parse "visit 10000000\ntask 0 10 1\n");
+  Alcotest.(check bool) "no slot per processor" true (Gc.allocated_bytes () -. before < 1e6)
+
+(* Regression: a release and deadline whose exact comparison overflows
+   escaped Task.make as Rat.Overflow; it is an ordinary error now. *)
+let test_window_overflow_rejected () =
+  Alcotest.(check string)
+    "overflowing window" "Task.make: release and deadline out of range"
+    (parse_err "task 4611686018427387903/2 4611686018427387902/3 1\n")
+
 (* The framed form is the file form with [;] for newline — same values,
    same errors, same line numbers — scanned in place from an offset. *)
 let test_framed_matches_file_form () =
@@ -208,4 +235,6 @@ let suite =
     Alcotest.test_case "framed form matches file form" `Quick test_framed_matches_file_form;
     Alcotest.test_case "malformed structure rejected" `Quick test_malformed_structure;
     Alcotest.test_case "bad window rejected" `Quick test_deadline_before_release_rejected;
+    Alcotest.test_case "visit number above stage count" `Quick test_visit_number_above_stages;
+    Alcotest.test_case "overflowing window rejected" `Quick test_window_overflow_rejected;
   ]

@@ -880,16 +880,18 @@ let stdio_session lines =
 
 (* Regression for the literal-grammar fix, end to end: OCaml-syntax
    numbers used to be admitted ([0x10] as 16), and an overflowing
-   literal raised an uncaught [Rat.Overflow] that killed the server.
-   Both are now ordinary parse errors and the session carries on. *)
+   literal raised an uncaught [Rat.Overflow] that killed the server, as
+   did well-formed numbers whose release/deadline comparison overflows.
+   All are now ordinary parse errors and the session carries on. *)
 let test_session_rejects_ocaml_literals () =
   match
     stdio_session
       [ "submit s1 task 0x0 0x10 1_0 0b1"; "submit s2 task 0 -4611686018427387904 1";
         "submit s3 task 0 0.00000000000000000000000000000000000000000000000000000000000000005 1";
+        "submit x task 4611686018427387903/2 4611686018427387902/3 1";
         "query s1"; "quit" ]
   with
-  | [ greeting; lit; overflow; tiny; query; bye ] ->
+  | [ greeting; lit; overflow; tiny; window; query; bye ] ->
       Alcotest.(check string) "greeting" Protocol.greeting greeting;
       Alcotest.(check string) "0x0 rejected"
         "error shop=- line 1: Rat.of_decimal_string: \"0x0\"" lit;
@@ -897,6 +899,8 @@ let test_session_rejects_ocaml_literals () =
         "error shop=- line 1: Rat.of_decimal_string: \"-4611686018427387904\"" overflow;
       Alcotest.(check bool) "unrepresentable decimal rejected" true
         (String.starts_with ~prefix:"error shop=- line 1: Rat.of_decimal_string:" tiny);
+      Alcotest.(check string) "overflowing window rejected"
+        "error shop=- Task.make: release and deadline out of range" window;
       Alcotest.(check string) "nothing committed" "info shop=s1 unknown" query;
       Alcotest.(check string) "session survives" "bye" bye
   | lines -> Alcotest.failf "unexpected session: %s" (String.concat " | " lines)

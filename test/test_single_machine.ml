@@ -1,6 +1,7 @@
 module Rat = E2e_rat.Rat
 module Sm = E2e_core.Single_machine
 module Prng = E2e_prng.Prng
+module Obs = E2e_obs.Obs
 open Helpers
 
 let job id release deadline = { Sm.id; release; deadline }
@@ -186,6 +187,71 @@ let test_inc_infeasibility_flips () =
   | Ok starts -> check_rat "survivor at release" (r 0) starts.(0)
   | Error `Infeasible -> Alcotest.fail "one unit job fits"
 
+(* Which path one [add_task] took, read from the counters it emits into
+   a memory sink. *)
+let add_path st ~at ~release ~deadline =
+  let sink, events = Obs.Sink.memory () in
+  Obs.install sink;
+  let st' =
+    Fun.protect ~finally:Obs.uninstall (fun () -> Sm.Inc.add_task st ~at ~release ~deadline)
+  in
+  let paths =
+    List.filter_map
+      (fun (e : Obs.event) ->
+        match e.kind with
+        | Obs.Counter _ when e.name = "eedf.inc_append" -> Some `Append
+        | Obs.Counter _ when e.name = "eedf.inc_resweep" -> Some `Resweep
+        | _ -> None)
+      (events ())
+  in
+  Obs.reset_metrics ();
+  match paths with
+  | [ p ] -> (st', p)
+  | _ -> Alcotest.failf "expected exactly one path counter, got %d" (List.length paths)
+
+(* The append test's boundaries, each from the trap state (tau = 2,
+   max release 1, max deadline 10, one forbidden region): bounds met
+   exactly take the append path, a quarter unit short re-sweeps, and
+   every resulting state agrees with scratch, before and after a later
+   drop of the new job and of a resident one. *)
+let test_inc_append_boundaries () =
+  let tau = r 2 and q = Rat.make 1 4 in
+  let st = Sm.Inc.make ~tau (trap_instance ()) in
+  let cases =
+    [
+      ("both bounds exact", 2, r 8, r 12, `Append);
+      ("deadline bound exact", 2, r 7, r 12, `Append);
+      ("window bound exact", 2, r 9, r 13, `Append);
+      ("deadline a quarter short", 2, r 7, Rat.sub (r 12) q, `Resweep);
+      ("window a quarter short", 2, Rat.add (r 8) q, r 12, `Resweep);
+      ("release equal to the max release", 2, r 1, r 14, `Resweep);
+      ("not at the end", 1, r 8, r 12, `Resweep);
+    ]
+  in
+  List.iter
+    (fun (what, at, release, deadline, expected) ->
+      let st', path = add_path st ~at ~release ~deadline in
+      Alcotest.(check bool) (what ^ ": path") true (path = expected);
+      agree ~what ~tau st' (Sm.Inc.jobs st');
+      let dropped = Sm.Inc.remove_task st' ~at in
+      agree ~what:(what ^ ", new job dropped") ~tau dropped (Sm.Inc.jobs dropped);
+      let dropped = Sm.Inc.remove_task st' ~at:0 in
+      agree ~what:(what ^ ", resident dropped") ~tau dropped (Sm.Inc.jobs dropped))
+    cases;
+  (* An infeasible state never appends, and a chain of appends from the
+     empty state stays exact. *)
+  let bad = Sm.Inc.make ~tau:(r 1) [| job 0 (r 0) (r 1); job 1 (r 0) (r 1) |] in
+  let bad', path = add_path bad ~at:2 ~release:(r 5) ~deadline:(r 9) in
+  Alcotest.(check bool) "infeasible state: path" true (path = `Resweep);
+  agree ~what:"infeasible state" ~tau:(r 1) bad' (Sm.Inc.jobs bad');
+  let st = ref (Sm.Inc.make ~tau [||]) in
+  for k = 0 to 4 do
+    let st', path = add_path !st ~at:k ~release:(r (5 * k)) ~deadline:(r ((5 * k) + 4)) in
+    Alcotest.(check bool) (Printf.sprintf "chain %d: path" k) true (path = `Append);
+    agree ~what:(Printf.sprintf "chain %d" k) ~tau st' (Sm.Inc.jobs st');
+    st := st'
+  done
+
 (* Random churn property: a chain of adds then drops, checked against
    from-scratch at every step (the unit-test-sized sibling of the
    eedf-inc fuzz class). *)
@@ -230,6 +296,7 @@ let suite =
     Alcotest.test_case "worked example" `Quick test_schedule_matches_brute_force_on_example;
     Alcotest.test_case "incremental: trap add/remove" `Quick test_inc_trap_add_remove;
     Alcotest.test_case "incremental: feasibility flips" `Quick test_inc_infeasibility_flips;
+    Alcotest.test_case "incremental: append boundaries" `Quick test_inc_append_boundaries;
     to_alcotest prop_optimality;
     to_alcotest prop_plain_edf_never_beats_exact;
     to_alcotest prop_regions_disjoint_sorted;
