@@ -31,6 +31,7 @@ module Cache = E2e_serve.Cache
 module Protocol = E2e_serve.Protocol
 module Rtrace = E2e_serve.Rtrace
 module Server = E2e_serve.Server
+module Listener = E2e_serve.Listener
 module Pool = E2e_exec.Pool
 module Obs = E2e_obs.Obs
 module Json = E2e_obs.Json
@@ -150,7 +151,8 @@ let tally_reply t = function
       t.undecided <- t.undecided + 1
   | Admission.Queried _ -> t.info <- t.info + 1
   | Admission.Dropped _ -> t.dropped <- t.dropped + 1
-  | Admission.Request_error _ -> t.errors <- t.errors + 1
+  | Admission.Request_error _ | Admission.Decided { decision = Admission.Failed _; _ } ->
+      t.errors <- t.errors + 1
 
 (* In-process replay: open-loop pacing (when [rate] > 0) against the
    batcher; per-request latency = reply time - arrival time, both read
@@ -232,7 +234,7 @@ let tally_line t line =
 let run_client ~host ~port ~stream ~pipeline ~rate ~pace_seed =
   let pipeline = max 1 pipeline in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Server.resolve_host host, port));
+  Unix.connect fd (Unix.ADDR_INET (Listener.resolve_host host, port));
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
   let log = ref [] in
@@ -344,31 +346,40 @@ let run_tcp ~streams ~addr ~pipeline ~rate ~reply_log =
   let latency, tally = merge_client_results results in
   (duration, latency, tally, None, None)
 
+(* A one-shot mailbox for the ready-port handshake with a spawned
+   server domain. *)
+let wait_slot () =
+  let mu = Mutex.create () and cv = Condition.create () in
+  let slot = ref None in
+  let set p =
+    Mutex.lock mu;
+    slot := Some p;
+    Condition.signal cv;
+    Mutex.unlock mu
+  in
+  let get () =
+    Mutex.lock mu;
+    while !slot = None do
+      Condition.wait cv mu
+    done;
+    let p = Option.get !slot in
+    Mutex.unlock mu;
+    p
+  in
+  (set, get)
+
 (* Full-transport replay: an in-process concurrent TCP server on an
    ephemeral port, the clients over real sockets against it.  This is
    the configuration the saturation sweep measures. *)
 let run_self ~streams ~config ~accept_pool ~window ~drainers ~pipeline ~rate ~reply_log =
   let stripes = E2e_serve.Stripes.create ~config ~stripes:drainers () in
-  let nconn = List.length streams in
-  let mu = Mutex.create () in
-  let cv = Condition.create () in
-  let port = ref None in
+  let set, get = wait_slot () in
   let server =
     Domain.spawn (fun () ->
-        Server.serve_tcp ~max_connections:nconn ~accept_pool ~window
-          ~ready:(fun p ->
-            Mutex.lock mu;
-            port := Some p;
-            Condition.signal cv;
-            Mutex.unlock mu)
-          ~port:0 stripes)
+        Server.serve_tcp ~max_connections:(List.length streams) ~accept_pool ~window
+          ~ready:set ~port:0 stripes)
   in
-  Mutex.lock mu;
-  while !port = None do
-    Condition.wait cv mu
-  done;
-  let port = Option.get !port in
-  Mutex.unlock mu;
+  let port = get () in
   let duration, results = run_clients ~host:"127.0.0.1" ~port ~streams ~pipeline ~rate in
   Domain.join server;
   write_reply_logs reply_log results;
@@ -440,31 +451,9 @@ module Registry = E2e_cluster.Registry
 module Health = E2e_cluster.Health
 module Wire = E2e_serve.Wire
 
-(* A one-shot mailbox for the ready-port handshake with a spawned
-   server domain. *)
-let wait_slot () =
-  let mu = Mutex.create () and cv = Condition.create () in
-  let slot = ref None in
-  let set p =
-    Mutex.lock mu;
-    slot := Some p;
-    Condition.signal cv;
-    Mutex.unlock mu
-  in
-  let get () =
-    Mutex.lock mu;
-    while !slot = None do
-      Condition.wait cv mu
-    done;
-    let p = Option.get !slot in
-    Mutex.unlock mu;
-    p
-  in
-  (set, get)
-
 type shard = {
   sh_port : int;
-  sh_control : Server.control;
+  sh_control : Listener.control;
   sh_domain : unit Domain.t;
 }
 
@@ -473,7 +462,7 @@ type shard = {
    a control handle so a test can kill it like a process.  Schedules
    are off — cluster runs measure the service, not reply rendering. *)
 let spawn_shard ~config ~accept_pool ~window ?(port = 0) () =
-  let control = Server.control () in
+  let control = Listener.control () in
   let set, get = wait_slot () in
   let stripes = E2e_serve.Stripes.create ~config () in
   let domain =
@@ -515,7 +504,7 @@ let spawn_cluster ~nshards ~config ~window ~probe_interval ~client_slots
 let stop_cluster c =
   Dispatcher.shutdown c.cl_t;
   Domain.join c.cl_domain;
-  List.iter (fun s -> Server.shutdown s.sh_control) c.cl_shards;
+  List.iter (fun s -> Listener.shutdown s.sh_control) c.cl_shards;
   List.iter (fun s -> Domain.join s.sh_domain) c.cl_shards
 
 (* What the cluster run reports beyond throughput: routing balance and
@@ -885,7 +874,7 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   let extra_shard = ref None in
   let fail fmt = Printf.ksprintf (fun s -> fail_reasons := s :: !fail_reasons) fmt in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Server.resolve_host "127.0.0.1", cluster.cl_port));
+  Unix.connect fd (Unix.ADDR_INET (Listener.resolve_host "127.0.0.1", cluster.cl_port));
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   (* A reply that takes >10s is a hang — the exact bug this check
      exists to catch — so bound every read. *)
@@ -990,7 +979,7 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   done;
   if pending_on_doomed () < 8 then
     fail "phase2: burst never seen pending on the doomed shard";
-  Server.shutdown doomed.sh_control;
+  Listener.shutdown doomed.sh_control;
   let post_kill = List.init 24 (fun _ -> submit_line ()) in
   send post_kill;
   let replies2 = read_replies (40 + 24) in
@@ -1055,7 +1044,7 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   (match !extra_shard with
   | Some s ->
-      Server.shutdown s.sh_control;
+      Listener.shutdown s.sh_control;
       Domain.join s.sh_domain
   | None -> ());
   (* The killed shard's domain is already joined; stop_cluster joins
@@ -1063,7 +1052,7 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   Dispatcher.shutdown cluster.cl_t;
   Domain.join cluster.cl_domain;
   List.iter
-    (fun s -> Server.shutdown s.sh_control)
+    (fun s -> Listener.shutdown s.sh_control)
     (List.tl cluster.cl_shards);
   List.iter (fun s -> Domain.join s.sh_domain) (List.tl cluster.cl_shards);
   match List.rev !fail_reasons with
@@ -1114,7 +1103,7 @@ let run_soak ~host ~port ~connections ~pipeline ~seed ~duration ~snapshot_every 
   let deadline = t0 +. duration in
   let client cid =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Server.resolve_host host, port));
+    Unix.connect fd (Unix.ADDR_INET (Listener.resolve_host host, port));
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
     let r = Wire.make_reader fd in
     let recv () =

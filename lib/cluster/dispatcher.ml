@@ -36,6 +36,7 @@
 
 module Wire = E2e_serve.Wire
 module Protocol = E2e_serve.Protocol
+module Listener = E2e_serve.Listener
 
 let version = "e2e-dispatch/1"
 let greeting = version ^ " ready"
@@ -128,11 +129,7 @@ type t = {
   (* upstream table *)
   tmu : Mutex.t;
   upstreams : (string, upstream) Hashtbl.t;
-  (* listener/connection lifecycle (shutdown support) *)
-  dmu : Mutex.t;
-  mutable stop : bool;
-  mutable listener : Unix.file_descr option;
-  mutable conns : Unix.file_descr list;
+  ctl : Listener.control;  (* the client listener's shutdown handle *)
 }
 
 let create ?(config = default_config) shards =
@@ -150,10 +147,7 @@ let create ?(config = default_config) shards =
     per_shard = Hashtbl.create 8;
     tmu = Mutex.create ();
     upstreams = Hashtbl.create 8;
-    dmu = Mutex.create ();
-    stop = false;
-    listener = None;
-    conns = [];
+    ctl = Listener.control ();
   }
 
 let registry t = t.registry
@@ -664,129 +658,29 @@ let client_loop t (conn : Wire.conn) r =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Listener plumbing (mirrors Server.serve_tcp). *)
-
-let conn_register t fd =
-  Mutex.lock t.dmu;
-  let accept = not t.stop in
-  if accept then t.conns <- fd :: t.conns;
-  Mutex.unlock t.dmu;
-  accept
-
-let conn_unregister t fd =
-  Mutex.lock t.dmu;
-  t.conns <- List.filter (fun fd' -> fd' != fd) t.conns;
-  Mutex.unlock t.dmu
-
-let stopped t =
-  Mutex.lock t.dmu;
-  let s = t.stop in
-  Mutex.unlock t.dmu;
-  s
+(* Serving: the shared {!Listener} with this front end's greeting and
+   client session; the upstreams live and die with it. *)
 
 let shutdown t =
-  Mutex.lock t.dmu;
-  t.stop <- true;
-  let listener = t.listener in
-  let conns = t.conns in
-  t.listener <- None;
-  Mutex.unlock t.dmu;
-  let shut fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> () in
-  Option.iter shut listener;
-  List.iter shut conns;
-  let us = Mutex.lock t.tmu; let us = Hashtbl.fold (fun _ u acc -> u :: acc) t.upstreams [] in
-    Mutex.unlock t.tmu; us
+  Listener.shutdown t.ctl;
+  let us =
+    Mutex.lock t.tmu;
+    let us = Hashtbl.fold (fun _ u acc -> u :: acc) t.upstreams [] in
+    Mutex.unlock t.tmu;
+    us
   in
   List.iter (fun u -> teardown_all_lanes t u) us
 
-let handle_client t ~window fd =
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-      match Wire.write_all fd (greeting ^ "\n") with
-      | exception Unix.Unix_error _ -> ()
-      | () ->
-          let conn = Wire.make_conn ~window fd in
-          let writer = Wire.spawn_writer conn in
-          Fun.protect
-            ~finally:(fun () -> Thread.join writer)
-            (fun () ->
-              try client_loop t conn (Wire.make_reader fd)
-              with _ -> Wire.push_cell conn (End None)))
-
-let retriable = function
-  | Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK -> true
-  | _ -> false
-
-let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 64)
-    ?ready ~port t =
-  let addr = Unix.ADDR_INET (E2e_serve.Server.resolve_host host, port) in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let old_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
+let serve ?host ?max_connections ?accept_pool ?window ?ready ~port t =
+  let checker =
+    Health.start ~interval:t.config.probe_interval ~timeout:t.config.probe_timeout t.registry
   in
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      Option.iter
-        (fun b -> try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
-        old_sigpipe)
+      Health.stop checker;
+      (* Upstream threads die with the listener (a no-op after
+         [shutdown]). *)
+      shutdown t)
     (fun () ->
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock addr;
-      Unix.listen sock 64;
-      Mutex.lock t.dmu;
-      let already_stopped = t.stop in
-      if not already_stopped then t.listener <- Some sock;
-      Mutex.unlock t.dmu;
-      if not already_stopped then begin
-        (match ready with
-        | None -> ()
-        | Some f ->
-            let bound_port =
-              match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
-            in
-            f bound_port);
-        let checker =
-          Health.start ~interval:t.config.probe_interval ~timeout:t.config.probe_timeout
-            t.registry
-        in
-        let slots = Atomic.make 0 in
-        let accept_domain () =
-          let rec loop () =
-            if stopped t then ()
-            else
-              let slot = Atomic.fetch_and_add slots 1 in
-              let quota_ok =
-                match max_connections with None -> true | Some n -> slot < n
-              in
-              if quota_ok then
-                match Unix.accept sock with
-                | fd, _ ->
-                    if conn_register t fd then begin
-                      (try handle_client t ~window fd with _ -> ());
-                      conn_unregister t fd
-                    end
-                    else (try Unix.close fd with Unix.Unix_error _ -> ());
-                    loop ()
-                | exception Unix.Unix_error (e, _, _) when retriable e ->
-                    Atomic.decr slots;
-                    loop ()
-                | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-                | exception Unix.Unix_error (_, _, _) ->
-                    Atomic.decr slots;
-                    Unix.sleepf 0.01;
-                    loop ()
-          in
-          loop ()
-        in
-        let accepters =
-          Array.init (max 1 accept_pool) (fun _ -> Domain.spawn accept_domain)
-        in
-        Array.iter Domain.join accepters;
-        Health.stop checker;
-        (* Make sure upstream threads die with the listener (no-op when
-           [shutdown] already ran). *)
-        shutdown t
-      end)
+      Listener.serve ?host ?max_connections ?accept_pool ?window ?ready ~control:t.ctl
+        ~greeting ~port (client_loop t))

@@ -119,16 +119,16 @@ val serve :
   port:int ->
   t ->
   unit
-(** Listen on [host:port] (default host 127.0.0.1; [port = 0] binds an
-    ephemeral port, reported through [ready]) and serve clients with
-    an [accept_pool] (default 4) of reader domains, each connection
-    pipelining up to [window] (default 64) outstanding replies.  Also
-    starts the status-checker thread for the lifetime of the listener.
-    [max_connections] bounds total accepted connections, after which
-    the dispatcher drains and returns.  Returns after {!shutdown}. *)
+(** Serve clients over {!E2e_serve.Listener.serve} (which see for
+    [host], [port], [accept_pool], [window], [ready] and
+    [max_connections]), greeting each connection with {!greeting}.
+    Also runs the status checker ({!Health}) for the lifetime of the
+    listener, and tears every upstream down when it returns.  Returns
+    after {!shutdown}, or at once when [t] was already shut down. *)
 
 val shutdown : t -> unit
-(** Stop serving: wake blocked accepts, reset client connections, tear
-    down every upstream (pending requests get
-    [error shard-unavailable]).  Registered shards are {e not} marked
-    dead.  Idempotent; safe from any thread. *)
+(** Stop serving: shut the listener's control down (wake blocked
+    accepts, reset client connections), then tear down every upstream
+    (pending requests get [error shard-unavailable]).  Registered
+    shards are {e not} marked dead.  Idempotent; safe from any
+    thread. *)

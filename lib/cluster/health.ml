@@ -17,48 +17,44 @@ module Wire = E2e_serve.Wire
    sessions; persistent upstream connections leave it off — an idle
    socket timing out a read is not a dead shard. *)
 let connect_gen ~host ~port ~rw_timeout timeout =
-  match E2e_serve.Server.resolve_host host with
+  match E2e_serve.Listener.resolve_host host with
   | exception Failure e -> Error e
   | inet -> (
-      let addr = Unix.ADDR_INET (inet, port) in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      let fail msg =
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Error msg
-      in
-      Unix.set_nonblock fd;
-      let pending =
-        match Unix.connect fd addr with
-        | () -> false
-        | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK | Unix.EAGAIN), _, _)
-          ->
-            true
-        | exception Unix.Unix_error (e, _, _) ->
-            ignore (fail "");
-            raise (Unix.Unix_error (e, "connect", ""))
-      in
-      match
-        if not pending then Ok ()
-        else
-          match Unix.select [] [ fd ] [] timeout with
-          | _, [ _ ], _ -> (
-              match Unix.getsockopt_error fd with
-              | None -> Ok ()
-              | Some e -> Error (Unix.error_message e))
-          | _ -> Error "connect timeout"
-      with
-      | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
-      | Error msg -> fail msg
-      | Ok () ->
-          Unix.clear_nonblock fd;
-          (* Bounded session: reads and writes past the deadline fail
-             with EAGAIN, which the Wire reader surfaces as EOF. *)
-          if rw_timeout then
-            (try
-               Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-               Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout
-             with Unix.Unix_error _ -> ());
-          Ok fd)
+      match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+      | fd -> (
+          let fail msg =
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            Error msg
+          in
+          (* Every failure — an immediate one (ENETUNREACH, EACCES) as
+             much as a timeout — is an [Error] with the fd closed, so a
+             caller holding a lock never sees an exception. *)
+          match
+            Unix.set_nonblock fd;
+            match Unix.connect fd (Unix.ADDR_INET (inet, port)) with
+            | () -> Ok ()
+            | exception
+                Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> (
+                match Unix.select [] [ fd ] [] timeout with
+                | _, [ _ ], _ -> (
+                    match Unix.getsockopt_error fd with
+                    | None -> Ok ()
+                    | Some e -> Error (Unix.error_message e))
+                | _ -> Error "connect timeout")
+          with
+          | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+          | Error msg -> fail msg
+          | Ok () ->
+              Unix.clear_nonblock fd;
+              (* Bounded session: reads and writes past the deadline fail
+                 with EAGAIN, which the Wire reader surfaces as EOF. *)
+              if rw_timeout then
+                (try
+                   Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+                   Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout
+                 with Unix.Unix_error _ -> ());
+              Ok fd))
 
 let connect ?(timeout = 1.0) ?(rw_timeout = false) ~host ~port () =
   connect_gen ~host ~port ~rw_timeout timeout
@@ -68,7 +64,6 @@ let connect ?(timeout = 1.0) ?(rw_timeout = false) ~host ~port () =
    malformed greeting fails the whole call. *)
 let rpc ?(timeout = 1.0) ~host ~port lines =
   match connect_gen ~host ~port ~rw_timeout:true timeout with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | Error e -> Error e
   | Ok fd ->
       Fun.protect

@@ -20,7 +20,9 @@ val connect :
     [rw_timeout] (default [false]) additionally arms
     [SO_RCVTIMEO]/[SO_SNDTIMEO] for bounded one-shot sessions; the
     dispatcher's persistent upstream connections leave it off so an
-    idle socket never times out a read. *)
+    idle socket never times out a read.  Never raises: socket
+    exhaustion, an immediate connect failure and a timeout are all
+    [Error], so a caller may hold a lock across it. *)
 
 val rpc :
   ?timeout:float ->

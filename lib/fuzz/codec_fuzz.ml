@@ -147,7 +147,9 @@ let gen_outcome g =
       else Batcher.Reply (Admission.Dropped { shop; existed = Prng.bool g })
   | _ ->
       let shop = if Prng.bool g then "-" else shop in
-      Batcher.Reply (Admission.Request_error { shop; message = gen_text g ~newlines:true })
+      let message = gen_text g ~newlines:true in
+      if Prng.int g 4 = 0 then decided (Admission.Failed { message })
+      else Batcher.Reply (Admission.Request_error { shop; message })
 
 let gen_request g =
   let shop = gen_shop_name g and huge = Prng.int g 3 = 0 in

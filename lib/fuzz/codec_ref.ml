@@ -289,7 +289,8 @@ let pp_reply ppf = function
   | Admission.Queried { shop; n_tasks = None } -> Format.fprintf ppf "info shop=%s unknown" shop
   | Admission.Dropped { shop; existed } ->
       Format.fprintf ppf "dropped shop=%s existed=%b" shop existed
-  | Admission.Request_error { shop; message } ->
+  | Admission.Request_error { shop; message }
+  | Admission.Decided { shop; decision = Admission.Failed { message }; _ } ->
       Format.fprintf ppf "error shop=%s %s" shop (one_line message)
 
 let pp_outcome ppf = function

@@ -1,6 +1,7 @@
 module Rat = E2e_rat.Rat
 module Prng = E2e_prng.Prng
 module Task = E2e_model.Task
+module Flow_shop = E2e_model.Flow_shop
 module Recurrence_shop = E2e_model.Recurrence_shop
 module Feasible_gen = E2e_workload.Feasible_gen
 module Admission = E2e_serve.Admission
@@ -87,10 +88,28 @@ let gen_log g =
       else if p < 0.57 then
         (* Infeasible by construction: the rejected path. *)
         Admission.Submit { shop = fresh_shop (); instance = tighten (gen_instance g) }
-      else if p < 0.62 then
+      else if p < 0.60 then
         (* Duplicate name: the request-error path. *)
         let shop, _ = Option.get (pick ()) in
         Admission.Submit { shop; instance = gen_instance g }
+      else if p < 0.62 then begin
+        (* Near-[2^62] times whose sums leave Rat's range: the solve
+           overflows and both interpreters must answer the same error
+           (an Add also takes the warm delta path first). *)
+        let huge k = (Rat.zero, Rat.of_int max_int, Array.make k (Rat.of_int max_int)) in
+        if Prng.bool g then
+          let release, deadline, proc_times = huge 2 in
+          Admission.Submit
+            { shop = fresh_shop ();
+              instance =
+                Recurrence_shop.of_traditional
+                  (Flow_shop.make ~processors:2
+                     [| Task.make ~id:0 ~release ~deadline ~proc_times |]) }
+        else
+          let shop, committed = Option.get (pick ()) in
+          let k = Array.length committed.Recurrence_shop.tasks.(0).Task.proc_times in
+          Admission.Add { shop; tasks = [ huge k ] }
+      end
       else if p < 0.80 then begin
         let shop, committed = Option.get (pick ()) in
         let k = Array.length committed.Recurrence_shop.tasks.(0).Task.proc_times in

@@ -18,6 +18,7 @@ type decision =
   | Admitted of { schedule : Schedule.t; algo : string }
   | Rejected of { certificate : Infeasibility.certificate option }
   | Undecided of { reason : string }
+  | Failed of { message : string }
 
 (* Warm-start state parked with a committed shop.  [Machine] is a full
    incremental solver handle (identical-length shops on the EEDF path):
@@ -57,6 +58,7 @@ let record_decision = function
   | Admitted _ -> Obs.incr "serve.admitted"
   | Rejected _ -> Obs.incr "serve.rejected"
   | Undecided _ -> Obs.incr "serve.undecided"
+  | Failed _ -> Obs.incr "serve.request_errors"
 
 let algo_name = function
   | `Eedf -> "eedf"
@@ -76,8 +78,7 @@ let budget_exhausted () =
    path, the winning strategy on the portfolio path.  [hint] warm-starts
    the portfolio (it is part of the cache key, so hinted and unhinted
    solves never alias). *)
-let solve_full budget ?hint (shop : Recurrence_shop.t) : decision * inc_state option =
-  Obs.incr "serve.solves";
+let solve_exact budget ?hint (shop : Recurrence_shop.t) : decision * inc_state option =
   if Visit.is_traditional shop.Recurrence_shop.visit then begin
     let fs = Flow_shop.make ~processors:shop.visit.Visit.processors shop.tasks in
     match Solver.Incremental.solve_with_state fs with
@@ -132,6 +133,20 @@ let solve_full budget ?hint (shop : Recurrence_shop.t) : decision * inc_state op
     | Solver.Recurrent_proved_infeasible -> (Rejected { certificate = None }, None)
     | Solver.Recurrent_undecided -> (Undecided { reason = "heuristic-failed" }, None)
 
+(* The admission boundary for exact arithmetic: a well-formed set whose
+   solve needs a magnitude past [Rat]'s range (sums of near-[2^62]
+   times) is answered as an error for that request, never an exception
+   that would take the serving domain down.  Every solve — batched or
+   sequential, cached or not — comes through here, so both interpreters
+   answer it identically. *)
+let overflow_message = "arithmetic overflow: task times too large to solve exactly"
+
+let solve_full budget ?hint shop =
+  Obs.incr "serve.solves";
+  match solve_exact budget ?hint shop with
+  | r -> r
+  | exception Rat.Overflow -> (Failed { message = overflow_message }, None)
+
 let decide_uncached budget shop = fst (solve_full budget shop)
 
 (* Relabel a decision computed on the canonical shop back to the
@@ -142,7 +157,7 @@ let relabel canon (shop : Recurrence_shop.t) = function
   | Admitted { schedule; algo } ->
       let starts = Cache.restore_starts canon schedule.Schedule.starts in
       Admitted { schedule = Schedule.make shop starts; algo }
-  | (Rejected _ | Undecided _) as d -> d
+  | (Rejected _ | Undecided _ | Failed _) as d -> d
 
 let solve ~budget shop = decide_uncached budget shop
 
@@ -161,7 +176,7 @@ let verify_decision = function
       | Error _ ->
           Obs.incr "serve.verify_failures";
           Undecided { reason = "verify-failed" })
-  | (Rejected _ | Undecided _) as d -> d
+  | (Rejected _ | Undecided _ | Failed _) as d -> d
 
 (* What the cache stores: the pre-verify canonical decision plus the
    portfolio strategy that produced it (when one did).  The hint must
@@ -238,34 +253,35 @@ type prepared = {
   is_add : bool;
 }
 
+(* Canonicalization orders tasks by exact comparison, which can leave
+   [Rat]'s range just as a solve can: such a request is answered with
+   the same error as an overflowing solve. *)
 let prepare ?keyer t = function
-  | Submit { shop; instance } ->
+  | Submit { shop; instance } -> (
       if Smap.mem shop t then
         Error (request_error shop "shop already exists; add to it or drop it first")
       else
-        let canon =
+        match
           match keyer with
           | Some k -> Cache.Keyer.canonicalize k instance
           | None -> Cache.canonicalize instance
-        in
-        Ok { candidate = instance; canon; base_inc = None; is_add = false }
+        with
+        | canon -> Ok { candidate = instance; canon; base_inc = None; is_add = false }
+        | exception Rat.Overflow -> Error (request_error shop overflow_message))
   | Add { shop; tasks } -> (
       match Smap.find_opt shop t with
       | None -> Error (request_error shop "unknown shop")
       | Some _ when tasks = [] -> Error (request_error shop "add expects at least one task")
       | Some { shop = committed; canon = base; inc } -> (
-          match merge_candidate committed tasks with
-          | candidate ->
-              (* The committed side arrives pre-sorted and pre-rendered:
-                 only the handful of fresh tasks pays canonicalization. *)
-              Ok
-                {
-                  candidate;
-                  canon = Cache.merge ~base (fresh_tasks committed tasks);
-                  base_inc = inc;
-                  is_add = true;
-                }
-          | exception Invalid_argument m -> Error (request_error shop m)))
+          (* The committed side arrives pre-sorted and pre-rendered:
+             only the handful of fresh tasks pays canonicalization. *)
+          match
+            let candidate = merge_candidate committed tasks in
+            (candidate, Cache.merge ~base (fresh_tasks committed tasks))
+          with
+          | candidate, canon -> Ok { candidate; canon; base_inc = inc; is_add = true }
+          | exception Invalid_argument m -> Error (request_error shop m)
+          | exception Rat.Overflow -> Error (request_error shop overflow_message)))
   | Query { shop } ->
       Error
         (Queried
@@ -295,7 +311,7 @@ let solve_prepared ~budget p =
    path would.  Counters [serve.inc_hits]/[serve.inc_misses] measure
    the delta-path hit rate over Add requests. *)
 let try_incremental p =
-  let result =
+  let delta () =
     match p.base_inc with
     | Some (Machine m)
       when Visit.is_traditional p.canon.Cache.shop.Recurrence_shop.visit -> (
@@ -312,6 +328,8 @@ let try_incremental p =
             | Solver.Heuristic_failed -> None))
     | _ -> None
   in
+  (* On overflow the full solve runs next and answers the error. *)
+  let result = try delta () with Rat.Overflow -> None in
   if p.is_add then
     Obs.incr (match result with Some _ -> "serve.inc_hits" | None -> "serve.inc_misses");
   result
@@ -380,3 +398,4 @@ let decision_kind = function
   | Admitted _ -> "admitted"
   | Rejected _ -> "rejected"
   | Undecided _ -> "undecided"
+  | Failed _ -> "error"

@@ -23,6 +23,8 @@
     - [Undecided]: the heuristic path failed and no certificate exists
       (the general problem is NP-hard); the candidate is not committed,
       but a retry with a larger {!budget} may succeed.
+    - [Failed]: the solve needed a magnitude past [Rat]'s exact range;
+      the candidate is not committed.
 
     The per-request {!budget} bounds solve cost {e deterministically}
     (portfolio strategies attempted, not wall-clock), so identical
@@ -49,6 +51,10 @@ type decision =
       (** [None] when an optimal algorithm proved infeasibility but the
           polynomial certificate generator found no witness window. *)
   | Undecided of { reason : string }
+  | Failed of { message : string }
+      (** The solve left [Rat]'s exact range (near-[2^62] magnitudes):
+          the candidate is not committed and the request is answered
+          [error shop=... message], like a malformed one. *)
 
 type inc_state =
   | Machine of E2e_core.Solver.Incremental.t

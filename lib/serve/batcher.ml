@@ -205,7 +205,7 @@ let bump_verdict t shop = function
             c
       in
       let i =
-        match d with Admission.Admitted _ -> 0 | Rejected _ -> 1 | Undecided _ -> 2
+        match d with Admission.Admitted _ -> 0 | Rejected _ -> 1 | _ -> 2
       in
       cell.(i) <- cell.(i) + 1;
       (match d with
@@ -214,6 +214,7 @@ let bump_verdict t shop = function
       | Admission.Undecided { reason } when reason = "verify-failed" ->
           t.svc.verify_failures <- t.svc.verify_failures + 1
       | _ -> ())
+  | Admission.Failed _ -> ()  (* answered as an error: no verdict *)
 
 let step t =
   match take_batch t with

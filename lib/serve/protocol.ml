@@ -218,6 +218,15 @@ let add_admitted buf shop n_tasks algo makespan =
   Buffer.add_string buf " makespan=";
   Rat.add_to_buffer buf makespan
 
+let add_error buf shop message =
+  Buffer.add_string buf "error shop=";
+  Buffer.add_string buf shop;
+  Buffer.add_char buf ' ';
+  (* One line: the message's own line breaks become spaces. *)
+  String.iter
+    (function '\n' | '\r' -> Buffer.add_char buf ' ' | c -> Buffer.add_char buf c)
+    message
+
 let add_reply buf = function
   | Batcher.Overloaded -> Buffer.add_string buf "overloaded"
   | Batcher.Reply (Admission.Decided { shop; n_tasks; decision }) -> (
@@ -231,7 +240,8 @@ let add_reply buf = function
       | Admission.Undecided { reason } ->
           add_head buf "undecided" shop n_tasks;
           Buffer.add_string buf " reason=";
-          Buffer.add_string buf reason)
+          Buffer.add_string buf reason
+      | Admission.Failed { message } -> add_error buf shop message)
   | Batcher.Reply (Admission.Queried { shop; n_tasks = Some n }) -> add_head buf "info" shop n
   | Batcher.Reply (Admission.Queried { shop; n_tasks = None }) ->
       Buffer.add_string buf "info shop=";
@@ -241,14 +251,7 @@ let add_reply buf = function
       Buffer.add_string buf "dropped shop=";
       Buffer.add_string buf shop;
       Buffer.add_string buf (if existed then " existed=true" else " existed=false")
-  | Batcher.Reply (Admission.Request_error { shop; message }) ->
-      Buffer.add_string buf "error shop=";
-      Buffer.add_string buf shop;
-      Buffer.add_char buf ' ';
-      (* One line: the message's own line breaks become spaces. *)
-      String.iter
-        (function '\n' | '\r' -> Buffer.add_char buf ' ' | c -> Buffer.add_char buf c)
-        message
+  | Batcher.Reply (Admission.Request_error { shop; message }) -> add_error buf shop message
 
 (* An admitted reply's buffer is sized from its row count, at two
    makespan-wide times and separators per row, so one allocation

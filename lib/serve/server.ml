@@ -111,10 +111,10 @@ let serve_stdio ?schedules batcher = session ?schedules batcher Unix.stdin stdou
 (* ------------------------------------------------------------------ *)
 (* Concurrent TCP transport.
 
-   An accept pool of dedicated reader domains owns up to [accept_pool]
-   simultaneous connections; each connection pipelines up to [window]
-   outstanding replies over a bounded fixed-size read buffer and a
-   per-reply write queue.  Requests are routed by shop to a {!Stripes}
+   The {!Listener} accept pool owns up to [accept_pool] simultaneous
+   connections, each running [reader_loop] in its accept domain and
+   pipelining up to [window] outstanding replies over a bounded
+   fixed-size read buffer and a per-reply write queue.  Requests are routed by shop to a {!Stripes}
    batcher stripe — same shop, same stripe — and one drainer domain
    per stripe steps its batcher and routes replies back.  Admission
    semantics, trace stage attribution and the per-connection reply
@@ -140,21 +140,6 @@ let serve_stdio ?schedules batcher = session ?schedules batcher Unix.stdin stdou
    - only the reader and drainer domains touch [Obs]/[Rtrace]
      (writer threads get pre-rendered lines), so each domain-local
      telemetry store keeps a single writing thread. *)
-
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception _ -> (
-      match
-        Unix.getaddrinfo host ""
-          [ Unix.AI_FAMILY Unix.PF_INET; Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
-      with
-      | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> addr
-      | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
-
-(* The per-connection reader/writer machinery — bounded line reader,
-   ordered reply-slot queue, window semaphore, coalescing writer
-   thread — lives in {!Wire}, shared with the cluster dispatcher. *)
 
 (* One stripe's serialised submit/drain path: the striped analogue of
    the old single [center]. *)
@@ -189,6 +174,7 @@ let with_all_lanes center f =
    ever buffered ahead of the writer. *)
 let reader_loop center (conn : Wire.conn) r =
   let schedules = center.schedules in
+  Obs.incr "serve.sessions";
   let rec loop () =
     match Wire.read_line r with
     | `Eof -> push_cell conn (End None)
@@ -304,180 +290,31 @@ let drainer_loop schedules lane =
   loop ();
   Mutex.unlock lane.smu
 
-(* ------------------------------------------------------------------ *)
-(* External shutdown: a control handle the embedding process can use to
-   stop a running [serve_tcp] — the in-process analogue of killing a
-   shard process, which the cluster harnesses use to exercise failover.
-   [shutdown] wakes blocked accepts by shutting the listener down
-   (accept fails with EINVAL) and resets every live connection (readers
-   see EOF, writers see EPIPE), so all accept domains drain and
-   [serve_tcp] returns. *)
-
-type control = {
-  ctl_mu : Mutex.t;
-  mutable ctl_stop : bool;
-  mutable ctl_listener : Unix.file_descr option;
-  mutable ctl_conns : Unix.file_descr list;
-}
-
-let control () =
-  { ctl_mu = Mutex.create (); ctl_stop = false; ctl_listener = None; ctl_conns = [] }
-
-let stopped = function
-  | None -> false
-  | Some c ->
-      Mutex.lock c.ctl_mu;
-      let s = c.ctl_stop in
-      Mutex.unlock c.ctl_mu;
-      s
-
-let ctl_register_conn control fd =
-  match control with
-  | None -> true
-  | Some c ->
-      Mutex.lock c.ctl_mu;
-      let accept = not c.ctl_stop in
-      if accept then c.ctl_conns <- fd :: c.ctl_conns;
-      Mutex.unlock c.ctl_mu;
-      accept
-
-let ctl_unregister_conn control fd =
-  match control with
-  | None -> ()
-  | Some c ->
-      Mutex.lock c.ctl_mu;
-      c.ctl_conns <- List.filter (fun fd' -> fd' != fd) c.ctl_conns;
-      Mutex.unlock c.ctl_mu
-
-let shutdown c =
-  Mutex.lock c.ctl_mu;
-  c.ctl_stop <- true;
-  let listener = c.ctl_listener in
-  let conns = c.ctl_conns in
-  c.ctl_listener <- None;
-  Mutex.unlock c.ctl_mu;
-  let shut fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> () in
-  Option.iter shut listener;
-  List.iter shut conns
-
-(* One connection, in the accept domain that owns it: greeting, writer
-   thread, reader loop, then teardown — join the writer (which flushes
-   every outstanding reply and the farewell) before closing the fd, so
-   a [quit] races nothing and no buffered reply is ever lost. *)
-let handle_conn center ?(window = 64) fd =
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-      Obs.incr "serve.sessions";
-      match Wire.write_all fd (Protocol.greeting ^ "\n") with
-      | exception Unix.Unix_error _ -> ()
-      | () ->
-          let conn = Wire.make_conn ~window fd in
-          let writer = Wire.spawn_writer conn in
-          Fun.protect
-            ~finally:(fun () -> Thread.join writer)
-            (fun () ->
-              try reader_loop center conn (Wire.make_reader fd)
-              with _ -> push_cell conn (End None)))
-
-let retriable = function
-  | Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK -> true
-  | _ -> false
-
-let serve_tcp ?schedules:(sch = true) ?(host = "127.0.0.1") ?max_connections
-    ?(accept_pool = 4) ?(window = 64) ?ready ?control:ctl ~port stripes =
-  let addr = Unix.ADDR_INET (resolve_host host, port) in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let old_sigpipe =
-    (* A peer that disappears mid-reply must surface as EPIPE on the
-       write, not kill the whole server. *)
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
+let serve_tcp ?schedules:(sch = true) ?host ?max_connections ?accept_pool ?window ?ready
+    ?control ~port stripes =
+  let center =
+    {
+      stripes;
+      lanes =
+        Array.map
+          (fun b ->
+            {
+              sbatcher = b;
+              smu = Mutex.create ();
+              skick = Condition.create ();
+              sroute = Queue.create ();
+              sstop = false;
+            })
+          (Stripes.batchers stripes);
+      schedules = sch;
+      read_errors = Atomic.make 0;
+    }
+  in
+  let drainers =
+    Array.map (fun lane -> Domain.spawn (fun () -> drainer_loop sch lane)) center.lanes
   in
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      Option.iter (fun b -> try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ()) old_sigpipe)
-    (fun () ->
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock addr;
-      Unix.listen sock 64;
-      (match ctl with
-      | None -> ()
-      | Some c ->
-          Mutex.lock c.ctl_mu;
-          c.ctl_listener <- Some sock;
-          Mutex.unlock c.ctl_mu);
-      (match ready with
-      | None -> ()
-      | Some f ->
-          let bound_port =
-            match Unix.getsockname sock with
-            | Unix.ADDR_INET (_, p) -> p
-            | _ -> port
-          in
-          f bound_port);
-      let center =
-        {
-          stripes;
-          lanes =
-            Array.map
-              (fun b ->
-                {
-                  sbatcher = b;
-                  smu = Mutex.create ();
-                  skick = Condition.create ();
-                  sroute = Queue.create ();
-                  sstop = false;
-                })
-              (Stripes.batchers stripes);
-          schedules = sch;
-          read_errors = Atomic.make 0;
-        }
-      in
-      let drainers =
-        Array.map (fun lane -> Domain.spawn (fun () -> drainer_loop sch lane)) center.lanes
-      in
-      (* Connection slots are claimed before accepting, so with a quota
-         exactly [max_connections] accepts happen across the pool and
-         every accept domain terminates. *)
-      let slots = Atomic.make 0 in
-      let accept_domain () =
-        let rec loop () =
-          if stopped ctl then ()
-          else
-            let slot = Atomic.fetch_and_add slots 1 in
-            let quota_ok = match max_connections with None -> true | Some n -> slot < n in
-            if quota_ok then
-              match Unix.accept sock with
-              | fd, _ ->
-                  if ctl_register_conn ctl fd then begin
-                    (try handle_conn center ~window fd with _ -> ());
-                    ctl_unregister_conn ctl fd
-                  end
-                  else (try Unix.close fd with Unix.Unix_error _ -> ());
-                  loop ()
-              | exception Unix.Unix_error (e, _, _) when retriable e ->
-                  (* Transient accept failures (EINTR, a connection that
-                     aborted in the backlog) must not kill the server:
-                     retry on the same slot. *)
-                  Atomic.decr slots;
-                  loop ()
-              | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-                  () (* listener closed or shut down: stop accepting *)
-              | exception Unix.Unix_error (_, _, _) ->
-                  (* Resource pressure (EMFILE and friends): back off and
-                     keep serving rather than dying. *)
-                  Atomic.decr slots;
-                  Unix.sleepf 0.01;
-                  loop ()
-        in
-        loop ()
-      in
-      let accepters =
-        Array.init (max 1 accept_pool) (fun _ -> Domain.spawn accept_domain)
-      in
-      Array.iter Domain.join accepters;
       Array.iter
         (fun lane ->
           Mutex.lock lane.smu;
@@ -486,3 +323,6 @@ let serve_tcp ?schedules:(sch = true) ?(host = "127.0.0.1") ?max_connections
           Mutex.unlock lane.smu)
         center.lanes;
       Array.iter Domain.join drainers)
+    (fun () ->
+      Listener.serve ?host ?max_connections ?accept_pool ?window ?ready ?control
+        ~greeting:Protocol.greeting ~port (reader_loop center))

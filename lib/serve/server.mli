@@ -50,28 +50,6 @@ val session :
 val serve_stdio : ?schedules:bool -> Batcher.t -> unit
 (** {!session} over stdin/stdout. *)
 
-val resolve_host : string -> Unix.inet_addr
-(** Resolve a dotted quad ([127.0.0.1]) or a hostname ([localhost])
-    to an IPv4 address.
-    @raise Failure when the name does not resolve. *)
-
-type control
-(** External-shutdown handle for an embedded {!serve_tcp}: the
-    in-process analogue of killing a shard process.  Create one with
-    {!control}, pass it to {!serve_tcp}, and {!shutdown} from any
-    thread — the listener stops accepting and every live connection is
-    reset, so the server drains and {!serve_tcp} returns.  The cluster
-    harnesses use it to exercise shard failover deterministically. *)
-
-val control : unit -> control
-
-val shutdown : control -> unit
-(** Stop the server attached to this handle: wakes blocked accepts by
-    shutting the listener down and resets every live connection
-    (peers see a closed socket, exactly like a process kill).
-    Requests already queued in the batcher are still answered before
-    their connections tear down.  Idempotent; safe from any thread. *)
-
 val serve_tcp :
   ?schedules:bool ->
   ?host:string ->
@@ -79,33 +57,20 @@ val serve_tcp :
   ?accept_pool:int ->
   ?window:int ->
   ?ready:(int -> unit) ->
-  ?control:control ->
+  ?control:Listener.control ->
   port:int ->
   Stripes.t ->
   unit
-(** Listen on [host:port] (default host 127.0.0.1; [port = 0] binds an
-    ephemeral port, reported through [ready]) and serve connections
-    concurrently: [accept_pool] (default 4) reader domains each own one
-    live connection at a time, [window] (default 64) bounds the
-    pipelined replies buffered per connection, and one drainer domain
-    per stripe of the given {!Stripes.t} steps that stripe's batcher
-    ([Stripes.create ~stripes:1] reproduces the single-drainer
-    server exactly).  Committed state persists across connections.
-    [ready] is called with the bound port once the listener accepts
-    connections — the hook tests and the in-process load generator use
-    to connect to an ephemeral port.  [max_connections] bounds the
-    {e total} number of connections accepted across the pool, after
-    which the server drains and returns (tests and scripted runs);
-    omitted, it serves until the process is killed.
-
-    Robustness: transient accept failures ([EINTR], [ECONNABORTED],
-    [EAGAIN]) are retried, resource-pressure failures back off and
-    retry, [SIGPIPE] is ignored for the server's lifetime (a vanished
-    peer surfaces as a write error on its own connection), a
-    connection whose handler setup fails is closed without taking the
-    server down, and teardown joins the connection's writer before
-    closing the socket so every buffered reply — including the [quit]
-    farewell — is flushed.  Hard read errors (a reset or half-closed
-    peer, as opposed to a clean EOF) are counted and surfaced as
-    [read_errors=] in [stats] and [serve_transport_read_errors_total]
-    in [metrics]. *)
+(** Serve the line protocol over {!Listener.serve} (which see for
+    [host], [port], [accept_pool], [window], [ready],
+    [max_connections], [control] and the accept/teardown hardening),
+    greeting each connection with {!Protocol.greeting}: the accept
+    domains run the connection readers, and one drainer domain per
+    stripe of the given {!Stripes.t} steps that stripe's batcher
+    ([Stripes.create ~stripes:1] reproduces the single-drainer server
+    exactly).  Committed state persists across connections.  Requests
+    already queued in a batcher are still answered when [control]
+    shuts the listener down.  Hard read errors (a reset or
+    half-closed peer, as opposed to a clean EOF) are counted and
+    surfaced as [read_errors=] in [stats] and
+    [serve_transport_read_errors_total] in [metrics]. *)

@@ -27,3 +27,68 @@ let assert_feasible msg s =
       Alcotest.failf "%s: infeasible schedule:@ %a" msg
         (Format.pp_print_list E2e_schedule.Schedule.pp_violation)
         vs
+
+(* The ready-port handshake with a server spawned in its own domain:
+   pass [set] as its [ready] callback, then [get] blocks until the
+   bound port arrives. *)
+let wait_port () =
+  let mu = Mutex.create () and cv = Condition.create () and port = ref 0 in
+  let set p =
+    Mutex.lock mu;
+    port := p;
+    Condition.signal cv;
+    Mutex.unlock mu
+  in
+  let get () =
+    Mutex.lock mu;
+    while !port = 0 do
+      Condition.wait cv mu
+    done;
+    let p = !port in
+    Mutex.unlock mu;
+    p
+  in
+  (set, get)
+
+(* Send one request line of exactly [Wire.max_line + 1] bytes, no
+   newline, to the TCP front end on [port] and read to end-of-stream.
+   The reader consumes every byte before it gives up on the line, so
+   the server's close is an orderly FIN and the reply is never lost to
+   a reset.  Returns the greeting and the reply lines. *)
+let oversized_line_session port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let ic = Unix.in_channel_of_descr fd in
+  let greeting = input_line ic in
+  E2e_serve.Wire.write_all fd (String.make (E2e_serve.Wire.max_line + 1) 'a');
+  let rec replies acc =
+    match input_line ic with line -> replies (line :: acc) | exception End_of_file -> List.rev acc
+  in
+  let replies = replies [] in
+  close_in_noerr ic;
+  (greeting, replies)
+
+(* One client session: connect, read the greeting, send every line plus
+   [quit], then read replies to end-of-stream. *)
+let tcp_session port lines =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  let greeting = input_line ic in
+  List.iter
+    (fun l ->
+      output_string oc l;
+      output_char oc '\n')
+    lines;
+  output_string oc "quit\n";
+  flush oc;
+  let replies = ref [] in
+  (try
+     while true do
+       replies := input_line ic :: !replies
+     done
+   with End_of_file -> ());
+  close_in_noerr ic;
+  (greeting, List.rev !replies)

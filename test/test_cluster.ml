@@ -10,6 +10,7 @@ module Dispatcher = E2e_cluster.Dispatcher
 module Health = E2e_cluster.Health
 module Batcher = E2e_serve.Batcher
 module Server = E2e_serve.Server
+module Listener = E2e_serve.Listener
 
 (* ------------------------------------------------------------------ *)
 (* Registry unit tests                                                *)
@@ -161,32 +162,13 @@ let test_relabel () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end: in-process shards behind a TCP dispatcher              *)
 
-type shard = { sport : int; sctl : Server.control; sdomain : unit Domain.t }
-
-let wait_port () =
-  let mu = Mutex.create () and cv = Condition.create () and port = ref 0 in
-  let set p =
-    Mutex.lock mu;
-    port := p;
-    Condition.signal cv;
-    Mutex.unlock mu
-  in
-  let get () =
-    Mutex.lock mu;
-    while !port = 0 do
-      Condition.wait cv mu
-    done;
-    let p = !port in
-    Mutex.unlock mu;
-    p
-  in
-  (set, get)
+type shard = { sport : int; sctl : Listener.control; sdomain : unit Domain.t }
 
 let spawn_shard () =
   let config = { Batcher.default_config with Batcher.jobs = 1; queue_capacity = 4096 } in
   let stripes = E2e_serve.Stripes.create ~config () in
-  let sctl = Server.control () in
-  let set, get = wait_port () in
+  let sctl = Listener.control () in
+  let set, get = Helpers.wait_port () in
   let sdomain =
     Domain.spawn (fun () ->
         (* Room for two persistent upstream lanes plus a transient
@@ -198,7 +180,7 @@ let spawn_shard () =
 
 (* Two live shards behind a dispatcher with a fast status checker;
    [f] gets the client-facing port and the dispatcher handle. *)
-let with_cluster ?(upstream_conns = 1) f =
+let with_cluster ?(upstream_conns = 1) ?(accept_pool = 3) f =
   let s0 = spawn_shard () and s1 = spawn_shard () in
   let config =
     { Dispatcher.default_config with probe_interval = 0.1; probe_timeout = 1.0;
@@ -207,14 +189,14 @@ let with_cluster ?(upstream_conns = 1) f =
   let t =
     Dispatcher.create ~config [ ("127.0.0.1", s0.sport); ("127.0.0.1", s1.sport) ]
   in
-  let set, get = wait_port () in
-  let ddomain = Domain.spawn (fun () -> Dispatcher.serve ~accept_pool:3 ~ready:set ~port:0 t) in
+  let set, get = Helpers.wait_port () in
+  let ddomain = Domain.spawn (fun () -> Dispatcher.serve ~accept_pool ~ready:set ~port:0 t) in
   let finish () =
     Dispatcher.shutdown t;
     Domain.join ddomain;
     List.iter
       (fun s ->
-        Server.shutdown s.sctl;
+        Listener.shutdown s.sctl;
         Domain.join s.sdomain)
       [ s0; s1 ]
   in
@@ -352,7 +334,7 @@ let test_e2e_failover_on_kill () =
       (* Warm traffic across the cluster, then kill shard 0. *)
       client_send c (List.map (fun s -> "query " ^ s) victims);
       ignore (client_recv c (List.length victims));
-      Server.shutdown s0.sctl;
+      Listener.shutdown s0.sctl;
       (* Keep querying a shop homed on the dead shard: every request is
          answered (shard-unavailable at worst, never a hang), and
          within the probe budget traffic fails over to the live
@@ -481,7 +463,7 @@ let test_e2e_multi_lane () =
       (* Kill shard 0 with requests on its lanes: every request is
          answered (unavailable at worst), then traffic fails over. *)
       let victim = List.hd on0 in
-      Server.shutdown s0.sctl;
+      Listener.shutdown s0.sctl;
       let deadline = Unix.gettimeofday () +. 10.0 in
       let rec await_failover () =
         if Unix.gettimeofday () > deadline then
@@ -514,6 +496,71 @@ let test_e2e_multi_lane () =
         [ c1; c2 ];
       ignore port)
 
+(* ------------------------------------------------------------------ *)
+(* The dispatcher's client listener (shared with the shard server)    *)
+
+(* Teardown joins the writer before closing, so a reply still in
+   flight from a shard when [quit] arrives is flushed before the
+   farewell. *)
+let test_dispatch_quit_flushes_replies () =
+  with_cluster (fun port _t _shards ->
+      let greeting, replies = Helpers.tcp_session port [ "query ghost" ] in
+      Alcotest.(check string) "greeting" Dispatcher.greeting greeting;
+      Alcotest.(check (list string))
+        "reply drained before farewell"
+        [ "info shop=ghost unknown"; "bye" ]
+        replies)
+
+(* A client that vanishes right after connecting must not take the
+   (single-domain) accept pool down. *)
+let test_dispatch_abrupt_disconnect () =
+  with_cluster ~accept_pool:1 (fun port _t _shards ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.close fd;
+      let greeting, replies = Helpers.tcp_session port [ "query ghost" ] in
+      Alcotest.(check string) "second connection greeted" Dispatcher.greeting greeting;
+      Alcotest.(check (list string))
+        "second connection served"
+        [ "info shop=ghost unknown"; "bye" ]
+        replies)
+
+let test_dispatch_oversized_line () =
+  with_cluster (fun port _t _shards ->
+      let greeting, replies = Helpers.oversized_line_session port in
+      Alcotest.(check string) "greeting" Dispatcher.greeting greeting;
+      Alcotest.(check (list string))
+        "error reply, then end-of-stream"
+        [ "error shop=- request line too long" ]
+        replies)
+
+let test_dispatch_stopped_control () =
+  let t = Dispatcher.create [] in
+  Dispatcher.shutdown t;
+  let readied = ref false in
+  Dispatcher.serve ~ready:(fun _ -> readied := true) ~port:0 t;
+  Alcotest.(check bool) "ready never called" false !readied
+
+(* Regression: an immediate connect failure (a broadcast address fails
+   with ENETUNREACH before any packet leaves) raised out of [dispatch]
+   with the upstream's mutex still held, so the next request for that
+   shard hung.  Both calls must answer [error shard-unavailable]; the
+   second runs after the shard is revived, so it takes the upstream's
+   lock again. *)
+let test_dispatch_connect_failure () =
+  let config = { Dispatcher.default_config with probe_timeout = 0.2 } in
+  let t = Dispatcher.create ~config [ ("255.255.255.255", 1) ] in
+  let dispatch_once label =
+    let replies = ref [] in
+    Dispatcher.dispatch t ~sticky:(Dispatcher.sticky ()) ~shop:"s" "query s" (fun r ->
+        replies := r :: !replies);
+    Alcotest.(check (list string)) label [ Dispatcher.unavailable_reply ] !replies
+  in
+  dispatch_once "first dispatch answered";
+  ignore (Registry.note_probe (Dispatcher.registry t) "255.255.255.255:1" ~ok:true);
+  dispatch_once "second dispatch answered";
+  Dispatcher.shutdown t
+
 let suite =
   [
     ("registry: parse_id accepts host:port and rejects junk", `Quick, test_parse_id);
@@ -532,4 +579,13 @@ let suite =
     ("cluster: metrics aggregates shard expositions", `Slow, test_e2e_metrics_aggregation);
     ("cluster: multi-lane upstreams keep order and drain on kill", `Slow,
      test_e2e_multi_lane);
+    ("dispatcher: quit flushes buffered replies", `Quick, test_dispatch_quit_flushes_replies);
+    ("dispatcher: abrupt disconnect leaves the pool serving", `Quick,
+     test_dispatch_abrupt_disconnect);
+    ("dispatcher: oversized TCP line answered and connection closed", `Quick,
+     test_dispatch_oversized_line);
+    ("dispatcher: serve returns at once on a stopped control", `Quick,
+     test_dispatch_stopped_control);
+    ("dispatcher: immediate connect failure answers and releases the lane", `Quick,
+     test_dispatch_connect_failure);
   ]

@@ -17,6 +17,7 @@ module Batcher = E2e_serve.Batcher
 module Cache = E2e_serve.Cache
 module Protocol = E2e_serve.Protocol
 module Server = E2e_serve.Server
+module Listener = E2e_serve.Listener
 module Stripes = E2e_serve.Stripes
 module Serve_fuzz = E2e_fuzz.Serve_fuzz
 
@@ -566,10 +567,10 @@ let test_parse_tasks_whitelist () =
 
 let test_resolve_host () =
   Alcotest.(check string) "dotted quad" "127.0.0.1"
-    (Unix.string_of_inet_addr (Server.resolve_host "127.0.0.1"));
+    (Unix.string_of_inet_addr (Listener.resolve_host "127.0.0.1"));
   Alcotest.(check string) "hostname resolves" "127.0.0.1"
-    (Unix.string_of_inet_addr (Server.resolve_host "localhost"));
-  match Server.resolve_host "no-such-host.invalid" with
+    (Unix.string_of_inet_addr (Listener.resolve_host "localhost"));
+  match Listener.resolve_host "no-such-host.invalid" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "bogus hostname resolved"
 
@@ -582,53 +583,18 @@ let with_server ?(jobs = 1) ?(accept_pool = 3) ?(window = 64) ?(drainers = 1)
     { Batcher.default_config with Batcher.jobs; Batcher.queue_capacity = 4096 }
   in
   let stripes = Stripes.create ~config ~stripes:drainers () in
-  let mu = Mutex.create () and cv = Condition.create () in
-  let port = ref 0 in
+  let set, get = Helpers.wait_port () in
   let srv =
     Domain.spawn (fun () ->
-        Server.serve_tcp ~schedules:false ~max_connections ~accept_pool ~window
-          ~ready:(fun p ->
-            Mutex.lock mu;
-            port := p;
-            Condition.signal cv;
-            Mutex.unlock mu)
+        Server.serve_tcp ~schedules:false ~max_connections ~accept_pool ~window ~ready:set
           ~port:0 stripes)
   in
-  Mutex.lock mu;
-  while !port = 0 do
-    Condition.wait cv mu
-  done;
-  let p = !port in
-  Mutex.unlock mu;
+  let p = get () in
   let r = f p in
   (* Only join on success: a failed assertion must surface, not hang
      behind a server still waiting for its connection quota. *)
   Domain.join srv;
   r
-
-(* One client session: connect, read the greeting, send every line plus
-   [quit], then read replies to end-of-stream. *)
-let tcp_session port lines =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let greeting = input_line ic in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    lines;
-  output_string oc "quit\n";
-  flush oc;
-  let replies = ref [] in
-  (try
-     while true do
-       replies := input_line ic :: !replies
-     done
-   with End_of_file -> ());
-  close_in_noerr ic;
-  (greeting, List.rev !replies)
 
 let prefix_shop pfx : Admission.request -> Admission.request = function
   | Admission.Submit { shop; instance } -> Admission.Submit { shop = pfx ^ shop; instance }
@@ -660,7 +626,7 @@ let test_concurrent_transport () =
         logs
         |> List.map (fun log ->
                let lines = List.map Protocol.render_request log in
-               Domain.spawn (fun () -> tcp_session port lines))
+               Domain.spawn (fun () -> Helpers.tcp_session port lines))
         |> List.map Domain.join)
   in
   List.iter
@@ -683,7 +649,7 @@ let test_concurrent_transport () =
    the farewell, then a clean EOF. *)
 let test_quit_flushes_replies () =
   with_server ~accept_pool:1 ~max_connections:1 (fun port ->
-      let greeting, replies = tcp_session port [ "query ghost" ] in
+      let greeting, replies = Helpers.tcp_session port [ "query ghost" ] in
       Alcotest.(check string) "greeting" Protocol.greeting greeting;
       Alcotest.(check (list string))
         "reply drained before farewell"
@@ -698,12 +664,33 @@ let test_abrupt_disconnect () =
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       Unix.close fd;
-      let greeting, replies = tcp_session port [ "query ghost" ] in
+      let greeting, replies = Helpers.tcp_session port [ "query ghost" ] in
       Alcotest.(check string) "second connection greeted" Protocol.greeting greeting;
       Alcotest.(check (list string))
         "second connection served"
         [ "info shop=ghost unknown"; "bye" ]
         replies)
+
+(* An oversized TCP request line is answered with the protocol error,
+   then the connection closes: the line was never fully read, so there
+   is no safe resynchronisation point. *)
+let test_tcp_oversized_line () =
+  with_server ~accept_pool:1 ~max_connections:1 (fun port ->
+      let greeting, replies = Helpers.oversized_line_session port in
+      Alcotest.(check string) "greeting" Protocol.greeting greeting;
+      Alcotest.(check (list string))
+        "error reply, then end-of-stream"
+        [ "error shop=- request line too long" ]
+        replies)
+
+(* The listener refuses to start on a control handle that is already
+   shut down: [serve_tcp] returns at once and never reports a port. *)
+let test_tcp_stopped_control () =
+  let control = Listener.control () in
+  Listener.shutdown control;
+  let readied = ref false in
+  Server.serve_tcp ~control ~ready:(fun _ -> readied := true) ~port:0 (Stripes.create ());
+  Alcotest.(check bool) "ready never called" false !readied
 
 (* ------------------------------------------------------------------ *)
 (* Striped batcher                                                     *)
@@ -772,7 +759,7 @@ let test_multi_drainer_transport () =
             logs
             |> List.map (fun log ->
                    let lines = List.map Protocol.render_request log in
-                   Domain.spawn (fun () -> tcp_session port lines))
+                   Domain.spawn (fun () -> Helpers.tcp_session port lines))
             |> List.map Domain.join)
       in
       List.iteri
@@ -882,16 +869,19 @@ let stdio_session lines =
    numbers used to be admitted ([0x10] as 16), and an overflowing
    literal raised an uncaught [Rat.Overflow] that killed the server, as
    did well-formed numbers whose release/deadline comparison overflows.
-   All are now ordinary parse errors and the session carries on. *)
+   All are now ordinary parse errors and the session carries on.  A
+   well-formed task whose solve overflows (slack of near-[2^62] times)
+   is answered as an error for its shop, not a crash. *)
 let test_session_rejects_ocaml_literals () =
   match
     stdio_session
       [ "submit s1 task 0x0 0x10 1_0 0b1"; "submit s2 task 0 -4611686018427387904 1";
         "submit s3 task 0 0.00000000000000000000000000000000000000000000000000000000000000005 1";
         "submit x task 4611686018427387903/2 4611686018427387902/3 1";
+        "submit x task 0 4611686018427387903 4611686018427387903 4611686018427387903";
         "query s1"; "quit" ]
   with
-  | [ greeting; lit; overflow; tiny; window; query; bye ] ->
+  | [ greeting; lit; overflow; tiny; window; solve; query; bye ] ->
       Alcotest.(check string) "greeting" Protocol.greeting greeting;
       Alcotest.(check string) "0x0 rejected"
         "error shop=- line 1: Rat.of_decimal_string: \"0x0\"" lit;
@@ -901,6 +891,8 @@ let test_session_rejects_ocaml_literals () =
         (String.starts_with ~prefix:"error shop=- line 1: Rat.of_decimal_string:" tiny);
       Alcotest.(check string) "overflowing window rejected"
         "error shop=- Task.make: release and deadline out of range" window;
+      Alcotest.(check string) "overflowing solve answered as an error"
+        "error shop=x arithmetic overflow: task times too large to solve exactly" solve;
       Alcotest.(check string) "nothing committed" "info shop=s1 unknown" query;
       Alcotest.(check string) "session survives" "bye" bye
   | lines -> Alcotest.failf "unexpected session: %s" (String.concat " | " lines)
@@ -945,6 +937,10 @@ let suite =
      test_concurrent_transport);
     ("server: quit flushes buffered replies", `Quick, test_quit_flushes_replies);
     ("server: abrupt disconnect leaves the pool serving", `Quick, test_abrupt_disconnect);
+    ("server: oversized TCP line answered and connection closed", `Quick,
+     test_tcp_oversized_line);
+    ("server: serve_tcp returns at once on a stopped control", `Quick,
+     test_tcp_stopped_control);
     ("stripes: replies byte-identical across stripe counts", `Slow,
      test_stripe_determinism);
     ("server: multi-drainer transport matches sequential oracles", `Slow,

@@ -145,7 +145,7 @@ let test_trace_schema_concurrent () =
         logs
         |> List.map (fun l ->
                let lines = List.map Protocol.render_request l in
-               Domain.spawn (fun () -> Test_serve.tcp_session port lines))
+               Domain.spawn (fun () -> Helpers.tcp_session port lines))
         |> List.map Domain.join)
   in
   Rtrace.set_writer None;
