@@ -14,6 +14,8 @@ CLUS_A := /tmp/e2e_sched_clus_j1
 CLUS_B := /tmp/e2e_sched_clus_j4
 CLUS_C := /tmp/e2e_sched_clus_k2
 CLUS_CONNS := 4
+SOAK_A := /tmp/e2e_sched_soak_self.txt
+SOAK_B := /tmp/e2e_sched_soak_cluster.txt
 CORE_SMOKE := /tmp/e2e_sched_bench_core_small.json
 TRACE_A := /tmp/e2e_sched_trace_j1.jsonl
 TRACE_B := /tmp/e2e_sched_trace_j4.jsonl
@@ -109,9 +111,11 @@ serve-smoke:
 # worker domains, then again with the queue striped over 4 drainer
 # domains.  Every connection's reply log must be byte-identical across
 # domain counts AND stripe counts (disjoint per-connection shop
-# namespaces) and contain admitted verdicts.
+# namespaces) and contain admitted verdicts.  A one-second soak run
+# (--duration) against the same embedded server must exit cleanly and
+# print at least one latency snapshot.
 serve-conc-smoke:
-	rm -f $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn*
+	rm -f $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* $(SOAK_A)
 	dune exec bin/loadgen.exe -- --self-serve --connections $(CONC_CONNS) \
 	  --pipeline 16 --requests 800 --seed 42 -j 1 \
 	  --reply-log $(CONC_A) > /dev/null
@@ -126,6 +130,9 @@ serve-conc-smoke:
 	  cmp $(CONC_A).conn$$i $(CONC_D).conn$$i || exit 1; \
 	  grep -q '^admitted ' $(CONC_A).conn$$i || exit 1; \
 	done
+	dune exec bin/loadgen.exe -- --self-serve --connections $(CONC_CONNS) \
+	  --pipeline 16 --seed 42 --duration 1 > $(SOAK_A)
+	grep -q '^soak +' $(SOAK_A)
 
 # The cluster transport smoke: 2 in-process shards behind the
 # dispatcher, $(CLUS_CONNS) pipelined clients.  Every connection's
@@ -136,9 +143,11 @@ serve-conc-smoke:
 # per-connection reply order across shards), then the failover check —
 # single-lane and widened — kills a shard mid-burst and asserts every
 # request is answered, traffic re-routes to the survivor, and the
-# restarted shard is re-admitted by the status checker.
+# restarted shard is re-admitted by the status checker.  A one-second
+# soak run against 2 embedded shards must exit cleanly and print at
+# least one latency snapshot.
 cluster-smoke:
-	rm -f $(CLUS_A).conn* $(CLUS_B).conn* $(CLUS_C).conn*
+	rm -f $(CLUS_A).conn* $(CLUS_B).conn* $(CLUS_C).conn* $(SOAK_B)
 	dune exec bin/loadgen.exe -- --spawn-shards 2 --connections $(CLUS_CONNS) \
 	  --pipeline 16 --requests 800 --seed 42 -j 1 \
 	  --reply-log $(CLUS_A) > /dev/null
@@ -155,6 +164,9 @@ cluster-smoke:
 	done
 	dune exec bin/loadgen.exe -- --failover-check --seed 42
 	dune exec bin/loadgen.exe -- --failover-check --seed 42 --upstream-conns 2
+	dune exec bin/loadgen.exe -- --spawn-shards 2 --connections $(CLUS_CONNS) \
+	  --pipeline 16 --seed 42 --duration 1 > $(SOAK_B)
+	grep -q '^soak +' $(SOAK_B)
 
 # Fixed-seed traced load-generator run under the deterministic clock on
 # 1 and 4 domains: the request-trace JSONL must be byte-identical across
@@ -229,4 +241,4 @@ clean:
 	  $(SERVE_A) $(SERVE_B) $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* \
 	  $(CORE_SMOKE) $(CLUS_A).conn* $(CLUS_B).conn* $(CLUS_C).conn* \
 	  $(TRACE_A) $(TRACE_B) $(TRACE_SUM) \
-	  $(TRACE_LG) BENCH_parallel.json BENCH_core.json
+	  $(TRACE_LG) $(SOAK_A) $(SOAK_B) BENCH_parallel.json BENCH_core.json

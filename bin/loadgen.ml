@@ -3,21 +3,25 @@
    e2e-loadgen --requests 2000 --seed 42 -j 4 --out BENCH_serve.json
    e2e-loadgen --connect 127.0.0.1:7070 --requests 500 --connections 4
    e2e-loadgen --self-serve --connections 8 --pipeline 16 --requests 2000
+   e2e-loadgen --spawn-shards 2 --connections 4 --duration 10
 
    Replays a Prng-seeded request stream — submits of fresh task sets,
    permuted resubmissions (canonical-cache exercisers), incremental
-   adds, queries and drops — against an in-process Batcher (default;
-   measures the engine itself), over TCP against a running e2e-serve
-   (--connect), or against an in-process concurrent TCP server on an
-   ephemeral port (--self-serve; measures the whole transport).  TCP
-   modes replay over --connections parallel client domains, each
-   closed-loop with up to --pipeline requests in flight (open-loop
-   with exponential arrivals when --rate is set), on disjoint
-   per-connection shop namespaces so every connection's reply log is
-   deterministic.  Reports throughput, latency percentiles and the
-   cache hit rate, optionally as a JSON file (`make bench-serve`
-   writes BENCH_serve.json, including a connections x batch
-   saturation sweep). *)
+   adds, queries and drops — against one target: an in-process Batcher
+   (default; measures the engine itself), an embedded concurrent TCP
+   server (--self-serve) or N-shard cluster (--spawn-shards) on
+   ephemeral ports, or a running e2e-serve or e2e-dispatch (--connect;
+   a dispatcher is recognised by its greeting and asked for the cluster
+   report).  TCP targets are replayed over --connections parallel
+   client domains, each closed-loop with up to --pipeline requests in
+   flight (open-loop with exponential arrivals when --rate is set), on
+   disjoint per-connection shop namespaces so every connection's reply
+   log is deterministic; --duration replays for a wall-clock time
+   instead of a request count.  The sweep flags measure one point per
+   row of a sweep table.  Reports throughput, latency percentiles and
+   the cache hit rate, optionally as a JSON file (`make bench-serve`
+   and `make bench-cluster` write BENCH_serve.json and
+   BENCH_cluster.json). *)
 
 open Cmdliner
 module Rat = E2e_rat.Rat
@@ -31,7 +35,12 @@ module Cache = E2e_serve.Cache
 module Protocol = E2e_serve.Protocol
 module Rtrace = E2e_serve.Rtrace
 module Server = E2e_serve.Server
+module Stripes = E2e_serve.Stripes
 module Listener = E2e_serve.Listener
+module Wire = E2e_serve.Wire
+module Dispatcher = E2e_cluster.Dispatcher
+module Registry = E2e_cluster.Registry
+module Health = E2e_cluster.Health
 module Pool = E2e_exec.Pool
 module Obs = E2e_obs.Obs
 module Json = E2e_obs.Json
@@ -46,19 +55,6 @@ let gen_instance g =
     (Feasible_gen.generate g
        { Feasible_gen.n_tasks = n; n_processors = m; mean_tau = 1.0; stdev = 0.5;
          slack_factor = 1.0 +. Prng.float g 1.0 })
-
-(* Same instance, tasks relabelled: a canonical-cache hit that is not a
-   textual repeat. *)
-let permute g (shop : Recurrence_shop.t) =
-  let order = Prng.permutation g (Recurrence_shop.n_tasks shop) in
-  let tasks =
-    Array.mapi
-      (fun p orig ->
-        let t = shop.Recurrence_shop.tasks.(orig) in
-        Task.make ~id:p ~release:t.release ~deadline:t.deadline ~proc_times:t.proc_times)
-      order
-  in
-  Recurrence_shop.make ~visit:shop.visit tasks
 
 (* [cid] derives an independent per-connection stream on a disjoint
    shop namespace ([c<cid>-s<k>] instead of [s<k>]): an admission
@@ -94,7 +90,7 @@ let gen_stream ?cid ~seed ~requests () =
       else if p < 0.55 then begin
         (* Resubmit a permutation of an earlier set under a new name. *)
         let _, earlier = Option.get (pick_shop g) in
-        let shop = fresh_shop () and instance = permute g earlier in
+        let shop = fresh_shop () and instance = Feasible_gen.permute g earlier in
         submitted := (shop, instance) :: !submitted;
         Admission.Submit { shop; instance }
       end
@@ -131,6 +127,62 @@ let gen_stream ?cid ~seed ~requests () =
         Admission.Drop { shop }
       end)
 
+(* The seed-then-resubmit workload of the drainer, shard and upstream
+   sweeps: [shops] seeding submits establish this connection's shops,
+   then the stream resubmits random shops with freshly permuted
+   instances (same canonical form, disjoint per-connection
+   namespaces).  A permuted resubmission is answered from the canonical
+   solver cache when the shop's entry is resident and pays a full solve
+   when it was evicted — so the scaling lever is aggregate cache
+   capacity: routing is sticky, each shard's (or stripe's) LRU holds
+   exactly its own shops, and a working set a few times one cache's
+   [--cache] thrashes a single shard while enough shards hold it
+   entirely.  That is the honest sharding win available on any core
+   count; CPU fan-out is not (the bench host may be a single core).
+   Instances are a little bigger than gen_stream's so the solve :
+   cache-hit cost ratio is what the bench exercises. *)
+let gen_cluster_instance g =
+  let n = 12 + Prng.int g 5 and m = 3 + Prng.int g 2 in
+  Recurrence_shop.of_traditional
+    (Feasible_gen.generate g
+       { Feasible_gen.n_tasks = n; n_processors = m; mean_tau = 1.0; stdev = 0.5;
+         slack_factor = 1.05 +. Prng.float g 0.3 })
+
+let gen_cluster_stream ~cid ~seed ~shops ~requests () =
+  let g = Prng.of_path [| seed; 0xc1; cid |] in
+  let shop k = Printf.sprintf "c%d-s%d" cid k in
+  let shops = max 1 (min shops requests) in
+  let instances = Array.init shops (fun _ -> gen_cluster_instance g) in
+  (* Resubmission is a drop + submit pair (a committed shop rejects a
+     second bare submit); the fresh submit is the cache probe. *)
+  let rec steady n =
+    if n <= 0 then []
+    else
+      let k = Prng.int g shops in
+      Admission.Drop { shop = shop k }
+      :: Admission.Submit { shop = shop k; instance = Feasible_gen.permute g instances.(k) }
+      :: steady (n - 2)
+  in
+  List.init shops (fun k -> Admission.Submit { shop = shop k; instance = instances.(k) })
+  @ steady (requests - shops)
+
+type workload = Mixed | Resubmit of int  (* shops per connection *)
+
+(* Per-connection streams: [requests] split as evenly as possible over
+   [connections].  A single mixed connection replays the classic
+   unprefixed stream; otherwise each connection gets its own cid
+   namespace. *)
+let streams ~seed ~connections ~requests workload =
+  let split gen =
+    List.init connections (fun c ->
+        gen c ((requests / connections) + if c < requests mod connections then 1 else 0))
+  in
+  match workload with
+  | Mixed when connections <= 1 -> [ gen_stream ~seed ~requests () ]
+  | Mixed -> split (fun cid requests -> gen_stream ~cid ~seed ~requests ())
+  | Resubmit shops ->
+      split (fun cid requests -> gen_cluster_stream ~cid ~seed ~shops ~requests ())
+
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                        *)
 
@@ -144,6 +196,10 @@ type tally = {
   mutable overloaded : int;
 }
 
+let new_tally () =
+  { admitted = 0; rejected = 0; undecided = 0; info = 0; dropped = 0; errors = 0;
+    overloaded = 0 }
+
 let tally_reply t = function
   | Admission.Decided { decision = Admission.Admitted _; _ } -> t.admitted <- t.admitted + 1
   | Admission.Decided { decision = Admission.Rejected _; _ } -> t.rejected <- t.rejected + 1
@@ -154,6 +210,110 @@ let tally_reply t = function
   | Admission.Request_error _ | Admission.Decided { decision = Admission.Failed _; _ } ->
       t.errors <- t.errors + 1
 
+let tally_line t line =
+  match String.split_on_char ' ' line with
+  | "admitted" :: _ -> t.admitted <- t.admitted + 1
+  | "rejected" :: _ -> t.rejected <- t.rejected + 1
+  | "undecided" :: _ -> t.undecided <- t.undecided + 1
+  | "info" :: _ -> t.info <- t.info + 1
+  | "dropped" :: _ -> t.dropped <- t.dropped + 1
+  | "overloaded" :: _ -> t.overloaded <- t.overloaded + 1
+  | _ -> t.errors <- t.errors + 1
+
+(* The latency sketch and verdict tally a run's client domains share. *)
+type meter = { mu : Mutex.t; latency : Quantile.t; tally : tally }
+
+let meter () = { mu = Mutex.create (); latency = Quantile.create (); tally = new_tally () }
+
+let observe m lat line =
+  Mutex.protect m.mu (fun () ->
+      Quantile.observe m.latency lat;
+      tally_line m.tally line)
+
+(* What the cluster run reports beyond throughput: routing balance and
+   failover counters, from the in-process dispatcher handle or a
+   remote dispatcher's stats/metrics replies. *)
+type cluster_info = {
+  ci_shards : int;
+  ci_live : int;
+  ci_routed : int;
+  ci_failovers : int;
+  ci_unavailable : int;
+  ci_balance : (string * int) list;  (* shard id -> requests routed *)
+}
+
+let cluster_info_of_stats (st : Dispatcher.stats) =
+  {
+    ci_shards = st.registry_stats.Registry.shards;
+    ci_live = st.registry_stats.Registry.live_shards;
+    ci_routed = st.routed;
+    ci_failovers = st.registry_stats.Registry.failovers;
+    ci_unavailable = st.unavailable;
+    ci_balance =
+      List.map (fun s -> (s.Dispatcher.shard_id, s.Dispatcher.shard_routed)) st.per_shard;
+  }
+
+(* Remote dispatcher: one stats line (k=v tokens) and the aggregated
+   metrics exposition (cluster_shard_routed_total{shard="id"} N). *)
+let fetch_cluster_remote ~host ~port =
+  match Health.rpc ~host ~port [ "stats"; "metrics" ] with
+  | Ok [ stats_line; metrics_line ] ->
+      let scan fmt line = Scanf.sscanf_opt line fmt (fun k v -> (k, v)) in
+      let kv = List.filter_map (scan "%[^=]=%d%!") (String.split_on_char ' ' stats_line) in
+      let get k = Option.value ~default:0 (List.assoc_opt k kv) in
+      Some
+        {
+          ci_shards = get "shards";
+          ci_live = get "live";
+          ci_routed = get "routed";
+          ci_failovers = get "failovers";
+          ci_unavailable = get "unavailable";
+          ci_balance =
+            List.filter_map
+              (scan "cluster_shard_routed_total{shard=%S} %d%!")
+              (String.split_on_char ';' metrics_line);
+        }
+  | Ok _ | Error _ -> None
+
+let print_cluster_info ci =
+  Format.printf "cluster       shards=%d live=%d routed=%d failovers=%d unavailable=%d@."
+    ci.ci_shards ci.ci_live ci.ci_routed ci.ci_failovers ci.ci_unavailable;
+  List.iter
+    (fun (id, n) -> Format.printf "shard         %-22s routed=%d@." id n)
+    ci.ci_balance
+
+let balance_json ci = Json.Obj (List.map (fun (id, n) -> (id, Json.int n)) ci.ci_balance)
+
+let cluster_json ci =
+  Json.Obj
+    [
+      ("shards", Json.int ci.ci_shards);
+      ("live", Json.int ci.ci_live);
+      ("routed", Json.int ci.ci_routed);
+      ("failovers", Json.int ci.ci_failovers);
+      ("unavailable", Json.int ci.ci_unavailable);
+      ("balance", balance_json ci);
+    ]
+
+(* What a target reports once its clients are done. *)
+type finished = {
+  transport : string;
+  cache : Cache.stats option;
+  keyer : Cache.Keyer.stats option;
+  cluster : cluster_info option;
+}
+
+(* One replay's measurements; [logs] holds every line each TCP
+   connection received, in order: the per-connection reply logs the
+   determinism smokes byte-compare. *)
+type run = {
+  duration : float;
+  latency : Quantile.t;
+  tally : tally;
+  logs : string list list;
+  fin : finished;
+}
+
 (* In-process replay: open-loop pacing (when [rate] > 0) against the
    batcher; per-request latency = reply time - arrival time, both read
    from [Obs.Clock] so a deterministic source makes the whole
@@ -163,10 +323,7 @@ let run_inproc ~stream ~config ~rate =
   let n = List.length stream in
   let t_arrival = Array.make n 0. in
   let latency = Quantile.create () in
-  let tally =
-    { admitted = 0; rejected = 0; undecided = 0; info = 0; dropped = 0; errors = 0;
-      overloaded = 0 }
-  in
+  let tally = new_tally () in
   let pending_idx = Queue.create () in
   let record_replies replies =
     List.iter
@@ -202,254 +359,172 @@ let run_inproc ~stream ~config ~rate =
     match Batcher.step batcher with [] -> () | replies -> record_replies replies; drain ()
   in
   drain ();
-  let duration = Obs.Clock.now () -. t0 in
-  ( duration,
-    latency,
-    tally,
-    Batcher.cache_stats batcher,
-    Some (Batcher.keyer_stats batcher) )
+  {
+    duration = Obs.Clock.now () -. t0;
+    latency;
+    tally;
+    logs = [];
+    fin =
+      { transport = "inproc"; cache = Batcher.cache_stats batcher;
+        keyer = Some (Batcher.keyer_stats batcher); cluster = None };
+  }
 
-let new_tally () =
-  { admitted = 0; rejected = 0; undecided = 0; info = 0; dropped = 0; errors = 0;
-    overloaded = 0 }
+(* ------------------------------------------------------------------ *)
+(* The pipelined TCP client                                           *)
 
-let tally_line t line =
-  match String.split_on_char ' ' line with
-  | "admitted" :: _ -> t.admitted <- t.admitted + 1
-  | "rejected" :: _ -> t.rejected <- t.rejected + 1
-  | "undecided" :: _ -> t.undecided <- t.undecided + 1
-  | "info" :: _ -> t.info <- t.info + 1
-  | "dropped" :: _ -> t.dropped <- t.dropped + 1
-  | "overloaded" :: _ -> t.overloaded <- t.overloaded + 1
-  | _ -> t.errors <- t.errors + 1
-
-(* One TCP client: windowed pipelined replay of [stream].  Closed loop
-   when [rate] = 0 — at most [pipeline] requests in flight; open loop
-   otherwise — exponential inter-arrivals at [rate], still capped at
-   [pipeline] in flight so an overloaded server backpressures the
-   client instead of growing an unbounded flight set.  Returns the
-   latency sketch, the verdict tally and every line received, in
-   order: the per-connection reply log the determinism smokes
-   byte-compare. *)
-let run_client ~host ~port ~stream ~pipeline ~rate ~pace_seed =
-  let pipeline = max 1 pipeline in
+let connect ~host ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Listener.resolve_host host, port));
+  (try Unix.connect fd (Unix.ADDR_INET (Listener.resolve_host host, port))
+   with e ->
+     Unix.close fd;
+     raise e);
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-  let log = ref [] in
-  let recv () =
-    let line = input_line ic in
-    log := line :: !log;
-    line
-  in
-  ignore (recv ()) (* greeting *);
-  let reqs = Array.of_list (List.map Protocol.render_request stream) in
-  let n = Array.length reqs in
-  let latency = Quantile.create () in
-  let tally = new_tally () in
-  let t_send = Array.make (max n 1) 0. in
-  let pace_g = Prng.create pace_seed in
-  let next_arrival = ref (Unix.gettimeofday ()) in
-  let sent = ref 0 and recvd = ref 0 in
-  while !recvd < n do
-    while !sent < n && !sent - !recvd < pipeline do
-      if rate > 0. then begin
-        next_arrival := !next_arrival +. Prng.exponential pace_g ~rate;
-        let now = Unix.gettimeofday () in
-        if !next_arrival > now then begin
-          flush oc;
-          Unix.sleepf (!next_arrival -. now)
-        end
-      end;
-      t_send.(!sent) <- Unix.gettimeofday ();
-      output_string oc reqs.(!sent);
-      output_char oc '\n';
-      incr sent
-    done;
-    flush oc;
-    let line = recv () in
-    Quantile.observe latency (Unix.gettimeofday () -. t_send.(!recvd));
-    tally_line tally line;
-    incr recvd
-  done;
-  output_string oc "quit\n";
-  flush oc;
-  (try ignore (recv ()) (* bye *) with End_of_file | Sys_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  (latency, tally, List.rev !log)
+  fd
 
-(* Per-connection streams: [requests] split as evenly as possible over
-   [connections].  A single connection replays the classic unprefixed
-   stream; multiple connections get disjoint per-cid namespaces. *)
-let client_streams ~connections ~seed ~requests =
-  if connections <= 1 then [ gen_stream ~seed ~requests () ]
+type client = {
+  fd : Unix.file_descr;
+  r : Wire.reader;
+  out : Buffer.t;  (* requests of the current window fill, not yet written *)
+  pace : (Prng.t * float) option;  (* open-loop arrivals: generator, rate *)
+  mutable next_arrival : float;
+  mutable closed : bool;
+}
+
+let send c =
+  if Buffer.length c.out > 0 then begin
+    (try if not c.closed then Wire.write_all c.fd (Buffer.contents c.out)
+     with Unix.Unix_error _ -> c.closed <- true);
+    Buffer.clear c.out
+  end
+
+let recv c =
+  if c.closed then None
   else
-    List.init connections (fun c ->
-        let per = (requests / connections) + (if c < requests mod connections then 1 else 0) in
-        gen_stream ~cid:c ~seed ~requests:per ())
+    match Wire.read_line c.r with
+    | `Line l -> Some l
+    | `Eof | `Too_long | `Error _ ->
+        c.closed <- true;
+        None
 
-let write_reply_logs reply_log results =
-  match reply_log with
+(* Open loop: the next send waits for its exponential arrival time,
+   writing out what is buffered before it sleeps. *)
+let pace c =
+  match c.pace with
   | None -> ()
-  | Some prefix ->
-      List.iteri
-        (fun i (_, _, log) ->
-          Out_channel.with_open_text
-            (Printf.sprintf "%s.conn%d" prefix i)
-            (fun oc -> List.iter (fun line -> output_string oc (line ^ "\n")) log))
-        results
+  | Some (g, rate) ->
+      c.next_arrival <- c.next_arrival +. Prng.exponential g ~rate;
+      let now = Unix.gettimeofday () in
+      if c.next_arrival > now then begin
+        send c;
+        Unix.sleepf (c.next_arrival -. now)
+      end
 
-let merge_client_results results =
-  let latency =
-    match results with
-    | [] -> Quantile.create ()
-    | (q, _, _) :: rest -> List.fold_left (fun acc (q, _, _) -> Quantile.merge acc q) q rest
-  in
-  let tally = new_tally () in
-  List.iter
-    (fun (_, (t : tally), _) ->
-      tally.admitted <- tally.admitted + t.admitted;
-      tally.rejected <- tally.rejected + t.rejected;
-      tally.undecided <- tally.undecided + t.undecided;
-      tally.info <- tally.info + t.info;
-      tally.dropped <- tally.dropped + t.dropped;
-      tally.errors <- tally.errors + t.errors;
-      tally.overloaded <- tally.overloaded + t.overloaded)
-    results;
-  (latency, tally)
+(* Windowed pipelined replay of [reqs] over one connection: at most
+   [pipeline] requests in flight (also under open-loop pacing, so an
+   overloaded server backpressures the client instead of growing an
+   unbounded flight set), one write per window fill, [on_reply latency
+   line] for every reply in order.  Nothing is sent at or after
+   [deadline]; replies already owed are still read.  Returns how many
+   requests were left unanswered because the connection closed. *)
+let replay c ~pipeline ~deadline ~on_reply reqs =
+  let n = Array.length reqs in
+  let t_send = Array.make n 0. in
+  let sent = ref 0 and recvd = ref 0 and stop = ref false in
+  let owed () = if !stop then !sent else n in
+  while (not c.closed) && !recvd < owed () do
+    while (not !stop) && !sent < n && !sent - !recvd < pipeline do
+      if Unix.gettimeofday () >= deadline then stop := true
+      else begin
+        pace c;
+        t_send.(!sent) <- Unix.gettimeofday ();
+        Buffer.add_string c.out reqs.(!sent);
+        Buffer.add_char c.out '\n';
+        incr sent
+      end
+    done;
+    send c;
+    if !recvd < !sent then
+      Option.iter
+        (fun line ->
+          on_reply (Unix.gettimeofday () -. t_send.(!recvd)) line;
+          incr recvd)
+        (recv c)
+  done;
+  owed () - !recvd
 
-let run_clients ~host ~port ~streams ~pipeline ~rate =
-  let nconn = List.length streams in
-  let rate = if rate > 0. then rate /. float_of_int nconn else 0. in
+(* One client connection: read the greeting, replay the chunks [next]
+   hands out until it returns [None] or [deadline] passes, then [quit]
+   and read the farewell.  Every line received goes to [on_line].
+   Returns the greeting and, for a connection that failed, what went
+   wrong. *)
+let client ~host ~port ~pipeline ~pace ~deadline ~on_line ~on_reply next =
+  match connect ~host ~port with
+  | exception Unix.Unix_error (e, _, _) ->
+      (None, Some ("cannot connect: " ^ Unix.error_message e))
+  | fd ->
+      let c =
+        { fd; r = Wire.make_reader fd; out = Buffer.create 4096; pace;
+          next_arrival = Unix.gettimeofday (); closed = false }
+      in
+      let greeting = recv c in
+      Option.iter on_line greeting;
+      let on_reply lat line =
+        on_line line;
+        on_reply lat line
+      in
+      let rec go () =
+        if Unix.gettimeofday () >= deadline then 0
+        else
+          match next () with
+          | None -> 0
+          | Some reqs -> (
+              match replay c ~pipeline ~deadline ~on_reply reqs with 0 -> go () | lost -> lost)
+      in
+      let lost = go () in
+      Buffer.add_string c.out "quit\n";
+      send c;
+      Option.iter on_line (recv c);
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      ( greeting,
+        if lost = 0 then None
+        else Some (Printf.sprintf "closed with %d requests unanswered" lost) )
+
+(* One client domain per [(next, on_line, on_reply)] source, sharing
+   [rate] between them; [while_running] runs in the caller meanwhile.
+   Returns the wall-clock duration and the first connection's greeting.
+   A failed connection is named on stderr and ends the run (exit 1). *)
+let run_clients ~host ~port ~pipeline ~rate ?(deadline = infinity) ?(while_running = ignore)
+    sources =
+  let pipeline = max 1 pipeline in
+  let rate = rate /. float_of_int (List.length sources) in
   let t0 = Unix.gettimeofday () in
   let domains =
     List.mapi
-      (fun i stream ->
+      (fun i (next, on_line, on_reply) ->
+        let pace = if rate > 0. then Some (Prng.create (0x9e3779b9 + i), rate) else None in
         Domain.spawn (fun () ->
-            run_client ~host ~port ~stream ~pipeline ~rate ~pace_seed:(0x9e3779b9 + i)))
-      streams
+            client ~host ~port ~pipeline ~pace ~deadline ~on_line ~on_reply next))
+      sources
   in
+  while_running ();
   let results = List.map Domain.join domains in
   let duration = Unix.gettimeofday () -. t0 in
-  (duration, results)
-
-(* TCP replay against a running server. *)
-let run_tcp ~streams ~addr ~pipeline ~rate ~reply_log =
-  let host, port =
-    match String.split_on_char ':' addr with
-    | [ h; p ] -> (h, int_of_string p)
-    | _ -> failwith "--connect expects HOST:PORT"
-  in
-  let duration, results = run_clients ~host ~port ~streams ~pipeline ~rate in
-  write_reply_logs reply_log results;
-  let latency, tally = merge_client_results results in
-  (duration, latency, tally, None, None)
-
-(* A one-shot mailbox for the ready-port handshake with a spawned
-   server domain. *)
-let wait_slot () =
-  let mu = Mutex.create () and cv = Condition.create () in
-  let slot = ref None in
-  let set p =
-    Mutex.lock mu;
-    slot := Some p;
-    Condition.signal cv;
-    Mutex.unlock mu
-  in
-  let get () =
-    Mutex.lock mu;
-    while !slot = None do
-      Condition.wait cv mu
-    done;
-    let p = Option.get !slot in
-    Mutex.unlock mu;
-    p
-  in
-  (set, get)
-
-(* Full-transport replay: an in-process concurrent TCP server on an
-   ephemeral port, the clients over real sockets against it.  This is
-   the configuration the saturation sweep measures. *)
-let run_self ~streams ~config ~accept_pool ~window ~drainers ~pipeline ~rate ~reply_log =
-  let stripes = E2e_serve.Stripes.create ~config ~stripes:drainers () in
-  let set, get = wait_slot () in
-  let server =
-    Domain.spawn (fun () ->
-        Server.serve_tcp ~max_connections:(List.length streams) ~accept_pool ~window
-          ~ready:set ~port:0 stripes)
-  in
-  let port = get () in
-  let duration, results = run_clients ~host:"127.0.0.1" ~port ~streams ~pipeline ~rate in
-  Domain.join server;
-  write_reply_logs reply_log results;
-  let latency, tally = merge_client_results results in
-  ( duration,
-    latency,
-    tally,
-    E2e_serve.Stripes.cache_stats stripes,
-    Some (E2e_serve.Stripes.keyer_stats stripes) )
-
-(* Saturation sweep: one self-serve measurement per (connections,
-   batch) point, recorded in BENCH_serve.json as the transport's
-   throughput surface.  The drainer sweep reuses the same point shape
-   with [sat_drainers] varying and a seed-then-resubmit workload. *)
-type sat_point = {
-  sat_connections : int;
-  sat_batch : int;
-  sat_drainers : int;
-  sat_workload : string;  (* "mixed" | "seed-then-resubmit" *)
-  sat_cache : int;  (* per-stripe solver-cache capacity *)
-  sat_shops : int;  (* shops per connection (0: the mixed workload) *)
-  sat_completed : int;
-  sat_duration : float;
-  sat_rps : float;
-  sat_p50_ms : float;
-  sat_p99_ms : float;
-}
-
-let sat_measure ~streams ~config ~window ~drainers ~pipeline ~workload ~shops =
-  let connections = List.length streams in
-  let accept_pool = min connections 8 in
-  let duration, latency, _, _, _ =
-    run_self ~streams ~config ~accept_pool ~window ~drainers ~pipeline ~rate:0.
-      ~reply_log:None
-  in
-  let completed = Quantile.count latency in
-  {
-    sat_connections = connections;
-    sat_batch = config.Batcher.batch;
-    sat_drainers = drainers;
-    sat_workload = workload;
-    sat_cache = config.Batcher.cache_capacity;
-    sat_shops = shops;
-    sat_completed = completed;
-    sat_duration = duration;
-    sat_rps = (if duration > 0. then float_of_int completed /. duration else 0.);
-    sat_p50_ms = Quantile.quantile latency 0.50 *. 1000.;
-    sat_p99_ms = Quantile.quantile latency 0.99 *. 1000.;
-  }
-
-let run_sat_sweep ~seed ~requests ~config ~pipeline ~window points =
-  List.map
-    (fun (connections, batch) ->
-      let streams = client_streams ~connections ~seed ~requests in
-      let config = { config with Batcher.batch } in
-      sat_measure ~streams ~config ~window ~drainers:1 ~pipeline ~workload:"mixed"
-        ~shops:0)
-    points
+  List.iteri
+    (fun i (_, failure) ->
+      Option.iter (Printf.eprintf "e2e-loadgen: connection %d to %s:%d %s\n%!" i host port)
+        failure)
+    results;
+  if List.exists (fun (_, failure) -> failure <> None) results then exit 1;
+  (duration, Option.value ~default:"" (fst (List.hd results)))
 
 (* ------------------------------------------------------------------ *)
-(* Cluster modes: an in-process shard fleet behind an in-process
-   dispatcher (--spawn-shards), replay against an external dispatcher
-   (--cluster), shard-count scaling sweeps (--cluster-sweep, the
-   source of BENCH_cluster.json), and the kill-one-shard failover
-   check `make cluster-smoke` runs (--failover-check). *)
+(* Targets: where the clients connect                                 *)
 
-module Dispatcher = E2e_cluster.Dispatcher
-module Registry = E2e_cluster.Registry
-module Health = E2e_cluster.Health
-module Wire = E2e_serve.Wire
+type target =
+  | Inproc
+  | Self of int  (* embedded server with this many drainer stripes *)
+  | Shards of int * int  (* embedded cluster: shards, upstream lanes per shard *)
+  | Remote of string * int
 
 type shard = {
   sh_port : int;
@@ -463,14 +538,12 @@ type shard = {
    are off — cluster runs measure the service, not reply rendering. *)
 let spawn_shard ~config ~accept_pool ~window ?(port = 0) () =
   let control = Listener.control () in
-  let set, get = wait_slot () in
-  let stripes = E2e_serve.Stripes.create ~config () in
-  let domain =
-    Domain.spawn (fun () ->
-        Server.serve_tcp ~schedules:false ~accept_pool ~window ~ready:set ~control ~port
-          stripes)
+  let stripes = Stripes.create ~config () in
+  let sh_port, sh_domain =
+    Listener.spawn (fun ~ready ->
+        Server.serve_tcp ~schedules:false ~accept_pool ~window ~ready ~control ~port stripes)
   in
-  { sh_port = get (); sh_control = control; sh_domain = domain }
+  { sh_port; sh_control = control; sh_domain }
 
 type cluster = {
   cl_shards : shard list;
@@ -479,8 +552,7 @@ type cluster = {
   cl_port : int;
 }
 
-let spawn_cluster ~nshards ~config ~window ~probe_interval ~client_slots
-    ?(upstream_conns = 1) () =
+let spawn_cluster ~nshards ~config ~window ~probe_interval ~client_slots ~upstream_conns =
   (* A shard accept domain owns its connection for the connection's
      lifetime, and every dispatcher lane is a persistent connection: the
      pool must fit all lanes plus a probe and a metrics RPC at once, or
@@ -491,372 +563,245 @@ let spawn_cluster ~nshards ~config ~window ~probe_interval ~client_slots
   in
   let dconfig = { Dispatcher.default_config with probe_interval; upstream_conns } in
   let t =
-    Dispatcher.create ~config:dconfig
-      (List.map (fun s -> ("127.0.0.1", s.sh_port)) shards)
+    Dispatcher.create ~config:dconfig (List.map (fun s -> ("127.0.0.1", s.sh_port)) shards)
   in
-  let set, get = wait_slot () in
-  let ddomain =
-    Domain.spawn (fun () ->
-        Dispatcher.serve ~accept_pool:client_slots ~window ~ready:set ~port:0 t)
+  let cl_port, cl_domain =
+    Listener.spawn (fun ~ready ->
+        Dispatcher.serve ~accept_pool:client_slots ~window ~ready ~port:0 t)
   in
-  { cl_shards = shards; cl_t = t; cl_domain = ddomain; cl_port = get () }
+  { cl_shards = shards; cl_t = t; cl_domain; cl_port }
 
+(* Joining an already-joined domain returns at once, so this also
+   stops a cluster one of whose shards was killed and joined. *)
 let stop_cluster c =
   Dispatcher.shutdown c.cl_t;
   Domain.join c.cl_domain;
   List.iter (fun s -> Listener.shutdown s.sh_control) c.cl_shards;
   List.iter (fun s -> Domain.join s.sh_domain) c.cl_shards
 
-(* What the cluster run reports beyond throughput: routing balance and
-   failover counters, from the in-process dispatcher handle or a
-   remote dispatcher's stats/metrics replies. *)
-type cluster_info = {
-  ci_shards : int;
-  ci_live : int;
-  ci_routed : int;
-  ci_failovers : int;
-  ci_unavailable : int;
-  ci_balance : (string * int) list;  (* shard id -> requests routed *)
+(* Start an embedded target for [connections] clients (one reader per
+   client connection) and say where to connect; [finish] is called with
+   the first client's greeting once the clients are done, stops what
+   was started, and collects the target's report.  A remote target is
+   a dispatcher when its greeting carries [Dispatcher.version]. *)
+let open_target ~config ~window ~connections target =
+  let none = { transport = "tcp"; cache = None; keyer = None; cluster = None } in
+  match target with
+  | Inproc -> invalid_arg "open_target: the in-process engine has no address"
+  | Self drainers ->
+      let stripes = Stripes.create ~config ~stripes:drainers () in
+      let port, domain =
+        Listener.spawn (fun ~ready ->
+            Server.serve_tcp ~max_connections:connections ~accept_pool:connections ~window
+              ~ready ~port:0 stripes)
+      in
+      ( "127.0.0.1",
+        port,
+        fun _ ->
+          Domain.join domain;
+          { none with transport = "self-tcp"; cache = Stripes.cache_stats stripes;
+            keyer = Some (Stripes.keyer_stats stripes) } )
+  | Shards (nshards, upstream_conns) ->
+      let cl =
+        spawn_cluster ~nshards ~config ~window ~probe_interval:0.5
+          ~client_slots:(connections + 2) ~upstream_conns
+      in
+      ( "127.0.0.1",
+        cl.cl_port,
+        fun _ ->
+          let info = cluster_info_of_stats (Dispatcher.stats cl.cl_t) in
+          stop_cluster cl;
+          { none with transport = "cluster-self"; cluster = Some info } )
+  | Remote (host, port) ->
+      ( host,
+        port,
+        fun greeting ->
+          match String.split_on_char ' ' greeting with
+          | v :: _ when v = Dispatcher.version ->
+              { none with transport = "cluster"; cluster = fetch_cluster_remote ~host ~port }
+          | _ -> none )
+
+(* Replay one stream per connection against [target]. *)
+let replay_target ~config ~window ~pipeline ~rate target streams =
+  match target with
+  | Inproc -> run_inproc ~stream:(List.concat streams) ~config ~rate
+  | target ->
+      let host, port, finish =
+        open_target ~config ~window ~connections:(List.length streams) target
+      in
+      let m = meter () and logs = List.map (fun _ -> ref []) streams in
+      let duration, greeting =
+        run_clients ~host ~port ~pipeline ~rate
+          (List.map2
+             (fun stream log ->
+               let pending = ref (Some stream) in
+               ( (fun () ->
+                   let s = !pending in
+                   pending := None;
+                   Option.map (fun s -> Array.of_list (List.map Protocol.render_request s)) s),
+                 (fun line -> log := line :: !log),
+                 observe m ))
+             streams logs)
+      in
+      { duration; latency = m.latency; tally = m.tally;
+        logs = List.map (fun log -> List.rev !log) logs; fin = finish greeting }
+
+(* ------------------------------------------------------------------ *)
+(* Sweeps: one measured point per row                                 *)
+
+type spec = {
+  target : target;
+  connections : int;
+  batch : int;
+  cache : int;  (* solver-cache capacity, per stripe or shard *)
+  workload : workload;
 }
 
-let cluster_info_of_stats (st : Dispatcher.stats) =
-  {
-    ci_shards = st.registry_stats.Registry.shards;
-    ci_live = st.registry_stats.Registry.live_shards;
-    ci_routed = st.routed;
-    ci_failovers = st.registry_stats.Registry.failovers;
-    ci_unavailable = st.unavailable;
-    ci_balance =
-      List.map (fun s -> (s.Dispatcher.shard_id, s.Dispatcher.shard_routed)) st.per_shard;
-  }
+type point = {
+  spec : spec;
+  completed : int;
+  duration_s : float;
+  rps : float;
+  p50_ms : float;
+  p99_ms : float;
+  fin : finished;
+}
 
-(* Remote dispatcher: one stats line (k=v tokens) and the aggregated
-   metrics exposition (cluster_shard_routed_total{shard="id"} N). *)
-let fetch_cluster_remote ~host ~port =
-  match Health.rpc ~host ~port [ "stats"; "metrics" ] with
-  | Error _ | Ok ([] | [ _ ] | _ :: _ :: _ :: _) -> None
-  | Ok [ stats_line; metrics_line ] ->
-      let kv = Hashtbl.create 8 in
-      List.iter
-        (fun tok ->
-          match String.index_opt tok '=' with
-          | None -> ()
-          | Some i -> (
-              let k = String.sub tok 0 i
-              and v = String.sub tok (i + 1) (String.length tok - i - 1) in
-              match int_of_string_opt v with
-              | Some n -> Hashtbl.replace kv k n
-              | None -> ()))
-        (String.split_on_char ' ' stats_line);
-      let get k = Option.value ~default:0 (Hashtbl.find_opt kv k) in
-      let balance =
-        String.split_on_char ';' metrics_line
-        |> List.filter_map (fun line ->
-               let prefix = "cluster_shard_routed_total{shard=\"" in
-               let pl = String.length prefix in
-               if String.length line > pl && String.sub line 0 pl = prefix then
-                 match String.index_from_opt line pl '"' with
-                 | None -> None
-                 | Some q -> (
-                     let id = String.sub line pl (q - pl) in
-                     match String.rindex_opt line ' ' with
-                     | None -> None
-                     | Some sp ->
-                         Option.map
-                           (fun n -> (id, n))
-                           (int_of_string_opt
-                              (String.sub line (sp + 1) (String.length line - sp - 1))))
-               else None)
-      in
-      Some
-        {
-          ci_shards = get "shards";
-          ci_live = get "live";
-          ci_routed = get "routed";
-          ci_failovers = get "failovers";
-          ci_unavailable = get "unavailable";
-          ci_balance = balance;
-        }
+let rate_of completed duration =
+  if duration > 0. then float_of_int completed /. duration else 0.
 
-let print_cluster_info ci =
-  Format.printf "cluster       shards=%d live=%d routed=%d failovers=%d unavailable=%d@."
-    ci.ci_shards ci.ci_live ci.ci_routed ci.ci_failovers ci.ci_unavailable;
-  List.iter
-    (fun (id, n) -> Format.printf "shard         %-22s routed=%d@." id n)
-    ci.ci_balance
+let hit_rate hits misses =
+  let total = hits + misses in
+  if total = 0 then 0. else float_of_int hits /. float_of_int total
 
-let cluster_json ci =
-  Json.Obj
-    [
-      ("shards", Json.int ci.ci_shards);
-      ("live", Json.int ci.ci_live);
-      ("routed", Json.int ci.ci_routed);
-      ("failovers", Json.int ci.ci_failovers);
-      ("unavailable", Json.int ci.ci_unavailable);
-      ("balance", Json.Obj (List.map (fun (id, n) -> (id, Json.int n)) ci.ci_balance));
-    ]
-
-(* The scaling-sweep workload: [shops] seeding submits establish this
-   connection's shops, then the stream resubmits random shops with
-   freshly permuted instances (same canonical form, disjoint
-   per-connection namespaces).  A permuted resubmission is answered
-   from the shard's canonical solver cache when the shop's entry is
-   resident and pays a full solve when it was evicted — so the scaling
-   lever is aggregate cache capacity: routing is sticky, each shard's
-   LRU holds exactly its own shops, and a working set a few times one
-   shard's [--cache] thrashes a single shard while enough shards hold
-   it entirely.  That is the honest sharding win available on any core
-   count; CPU fan-out is not (the bench host may be a single core).
-   Instances are a little bigger than gen_stream's so the solve :
-   cache-hit cost ratio is what the bench exercises. *)
-let gen_cluster_instance g =
-  let n = 12 + Prng.int g 5 and m = 3 + Prng.int g 2 in
-  Recurrence_shop.of_traditional
-    (Feasible_gen.generate g
-       { Feasible_gen.n_tasks = n; n_processors = m; mean_tau = 1.0; stdev = 0.5;
-         slack_factor = 1.05 +. Prng.float g 0.3 })
-
-let gen_cluster_stream ~cid ~seed ~shops ~requests () =
-  let g = Prng.of_path [| seed; 0xc1; cid |] in
-  let shop k = Printf.sprintf "c%d-s%d" cid k in
-  let shops = max 1 (min shops requests) in
-  let instances = Array.init shops (fun _ -> gen_cluster_instance g) in
-  (* Resubmission is a drop + submit pair (a committed shop rejects a
-     second bare submit); the fresh submit is the cache probe. *)
-  let rec steady n =
-    if n <= 0 then []
-    else
-      let k = Prng.int g shops in
-      Admission.Drop { shop = shop k }
-      :: Admission.Submit { shop = shop k; instance = permute g instances.(k) }
-      :: steady (n - 2)
+let measure ~config ~window ~pipeline ~seed ~requests spec =
+  let config = { config with Batcher.batch = spec.batch; cache_capacity = spec.cache } in
+  let r =
+    replay_target ~config ~window ~pipeline ~rate:0. spec.target
+      (streams ~seed ~connections:spec.connections ~requests spec.workload)
   in
-  List.init shops (fun k -> Admission.Submit { shop = shop k; instance = instances.(k) })
-  @ steady (requests - shops)
+  let completed = Quantile.count r.latency in
+  let p =
+    { spec; completed; duration_s = r.duration; rps = rate_of completed r.duration;
+      p50_ms = Quantile.quantile r.latency 0.50 *. 1000.;
+      p99_ms = Quantile.quantile r.latency 0.99 *. 1000.; fin = r.fin }
+  in
+  Format.printf "point %-32s %7.0f req/s  p50=%.3fms p99=%.3fms (%d in %.3fs)%s%s@."
+    (match spec.target with
+    | Inproc -> Printf.sprintf "inproc cache=%d" spec.cache
+    | Self d ->
+        Printf.sprintf "conns=%d batch=%d drainers=%d%s" spec.connections spec.batch d
+          (match spec.workload with Mixed -> "" | Resubmit s -> Printf.sprintf " shops=%d" s)
+    | Shards (n, k) -> Printf.sprintf "shards=%d upstream=%d" n k
+    | Remote _ -> "remote")
+    p.rps p.p50_ms p.p99_ms p.completed p.duration_s
+    (match p.fin.cache with
+    | Some { Cache.hits; misses; _ } -> Printf.sprintf " hit_rate=%.3f" (hit_rate hits misses)
+    | None -> "")
+    (match p.fin.cluster with
+    | Some ci -> Printf.sprintf " failovers=%d unavailable=%d" ci.ci_failovers ci.ci_unavailable
+    | None -> "");
+  p
 
-(* Drainer-stripe sweep: the single-process analogue of the shard
-   sweep.  Same seed-then-resubmit workload, one embedded server per
-   stripe count: queue and solver cache are per stripe, so [d] stripes
-   hold d x cache_capacity canonical entries in aggregate — a working
-   set a few times one stripe's cache thrashes at --drainers 1 and
-   goes cache-resident at 4.  (On a multi-core host the per-stripe
-   drainer domains also overlap solves; the aggregate-cache effect is
-   the one that survives a single-core box.) *)
-let run_drainer_sweep ~counts ~config ~connections ~pipeline ~shops ~requests ~seed
-    ~window =
-  let streams =
-    List.init connections (fun c ->
-        let per =
-          (requests / connections) + (if c < requests mod connections then 1 else 0)
-        in
-        gen_cluster_stream ~cid:c ~seed ~shops ~requests:per ())
-  in
-  let points =
-    List.map
-      (fun drainers ->
-        let p =
-          sat_measure ~streams ~config ~window ~drainers ~pipeline
-            ~workload:"seed-then-resubmit" ~shops
-        in
-        Format.printf
-          "drainers=%-2d %7.0f req/s  p50=%.3fms p99=%.3fms (%d in %.3fs)@." drainers
-          p.sat_rps p.sat_p50_ms p.sat_p99_ms p.sat_completed p.sat_duration;
-        p)
-      counts
-  in
-  let rps_of n =
-    List.find_map (fun p -> if p.sat_drainers = n then Some p.sat_rps else None) points
-  in
-  (match
-     (rps_of (List.fold_left min max_int counts), rps_of (List.fold_left max 0 counts))
-   with
+(* The throughput ratio between the points with the smallest and the
+   largest [key], printed as "scaling <what> a -> b: r x". *)
+let scaling what key points =
+  let keys = List.map key points in
+  let lo = List.fold_left min max_int keys and hi = List.fold_left max 0 keys in
+  let rps k = List.find_map (fun p -> if key p = k then Some p.rps else None) points in
+  match (rps lo, rps hi) with
   | Some b, Some t when b > 0. ->
-      Format.printf "drainer scaling %d -> %d stripes: %.2fx@."
-        (List.fold_left min max_int counts)
-        (List.fold_left max 0 counts)
-        (t /. b)
-  | _ -> ());
-  points
+      Format.printf "scaling %s %d -> %d: %.2fx@." what lo hi (t /. b);
+      Some (lo, hi, t /. b)
+  | _ -> None
 
-type cluster_point = {
-  cp_shards : int;
-  cp_completed : int;
-  cp_duration : float;
-  cp_rps : float;
-  cp_p50_ms : float;
-  cp_p99_ms : float;
-  cp_info : cluster_info;
-}
+let drainers_of p = match p.spec.target with Self d -> d | _ -> 1
+let shards_of p = match p.spec.target with Shards (n, _) -> n | _ -> 0
+let upstream_of p = match p.spec.target with Shards (_, k) -> k | _ -> 0
+let shops_of p = match p.spec.workload with Mixed -> 0 | Resubmit s -> s
 
-let run_cluster_point ~nshards ~config ~connections ~pipeline ~shops ~requests ~seed
-    ~window ?(upstream_conns = 1) () =
-  let cluster =
-    spawn_cluster ~nshards ~config ~window ~probe_interval:0.5
-      ~client_slots:(connections + 2) ~upstream_conns ()
-  in
-  let streams =
-    List.init connections (fun c ->
-        let per =
-          (requests / connections) + (if c < requests mod connections then 1 else 0)
-        in
-        gen_cluster_stream ~cid:c ~seed ~shops ~requests:per ())
-  in
-  let duration, results =
-    run_clients ~host:"127.0.0.1" ~port:cluster.cl_port ~streams ~pipeline ~rate:0.
-  in
-  let latency, _tally = merge_client_results results in
-  let info = cluster_info_of_stats (Dispatcher.stats cluster.cl_t) in
-  stop_cluster cluster;
-  let completed = Quantile.count latency in
-  {
-    cp_shards = nshards;
-    cp_completed = completed;
-    cp_duration = duration;
-    cp_rps = (if duration > 0. then float_of_int completed /. duration else 0.);
-    cp_p50_ms = Quantile.quantile latency 0.50 *. 1000.;
-    cp_p99_ms = Quantile.quantile latency 0.99 *. 1000.;
-    cp_info = info;
-  }
+let measured_json p =
+  [
+    ("completed", Json.int p.completed);
+    ("duration_s", Json.Num p.duration_s);
+    ("requests_per_sec", Json.Num p.rps);
+    ("latency_p50_ms", Json.Num p.p50_ms);
+    ("latency_p99_ms", Json.Num p.p99_ms);
+  ]
 
-(* Upstream-lane sweep: one shard, a cache-resident (hit-heavy)
-   workload so the shard answers fast, and a fresh cluster per lane
-   count — what widening the dispatcher->shard pipe is worth when the
-   shard itself is not the bottleneck.  Recorded honestly: on a host
-   where one upstream connection already saturates the path, the curve
-   is flat. *)
-let run_upstream_sweep ~counts ~config ~connections ~pipeline ~requests ~seed ~window =
-  (* Shops per connection sized to keep the whole working set resident
-     in the single shard's cache: every resubmission is a cache hit. *)
-  let shops =
-    max 1 (config.Batcher.cache_capacity / (2 * max 1 connections))
-  in
-  let points =
-    List.map
-      (fun upstream_conns ->
-        let p =
-          run_cluster_point ~nshards:1 ~config ~connections ~pipeline ~shops ~requests
-            ~seed ~window ~upstream_conns ()
-        in
-        Format.printf
-          "upstream conns=%-2d %7.0f req/s  p50=%.3fms p99=%.3fms (%d in %.3fs)@."
-          upstream_conns p.cp_rps p.cp_p50_ms p.cp_p99_ms p.cp_completed p.cp_duration;
-        (upstream_conns, p))
-      counts
-  in
-  (points, shops)
+let cache_stats_json { Cache.hits; misses; evictions; _ } =
+  [
+    ("hits", Json.int hits);
+    ("misses", Json.int misses);
+    ("evictions", Json.int evictions);
+  ]
 
-let run_cluster_sweep ~counts ~upstream ~config ~connections ~pipeline ~shops ~requests
-    ~seed ~window ~jobs ~out =
-  let points =
-    List.map
-      (fun nshards ->
-        let p =
-          run_cluster_point ~nshards ~config ~connections ~pipeline ~shops ~requests ~seed
-            ~window ()
-        in
-        Format.printf
-          "cluster shards=%-2d %7.0f req/s  p50=%.3fms p99=%.3fms (%d in %.3fs, \
-           failovers=%d unavailable=%d)@."
-          p.cp_shards p.cp_rps p.cp_p50_ms p.cp_p99_ms p.cp_completed p.cp_duration
-          p.cp_info.ci_failovers p.cp_info.ci_unavailable;
-        p)
-      counts
-  in
-  let upstream_points, upstream_shops =
-    match upstream with
-    | [] -> ([], 0)
-    | counts -> run_upstream_sweep ~counts ~config ~connections ~pipeline ~requests ~seed ~window
-  in
-  let rps_of n =
-    List.find_map (fun p -> if p.cp_shards = n then Some p.cp_rps else None) points
-  in
-  let base = rps_of (List.fold_left min max_int counts) in
-  let top = rps_of (List.fold_left max 0 counts) in
-  let ratio =
-    match (base, top) with
-    | Some b, Some t when b > 0. -> Some (t /. b)
-    | _ -> None
-  in
-  (match ratio with
-  | Some r ->
-      Format.printf "cluster scaling %d -> %d shards: %.2fx@."
-        (List.fold_left min max_int counts)
-        (List.fold_left max 0 counts)
-        r
-  | None -> ());
-  match out with
-  | None -> ()
-  | Some path ->
-      let record =
-        Json.Obj
-          [
-            ( "workload",
-              Json.Obj
-                [
-                  ("type", Json.Str "seed-then-resubmit");
-                  ("requests", Json.int requests);
-                  ("connections", Json.int connections);
-                  ("pipeline", Json.int pipeline);
-                  ("shops_per_connection", Json.int shops);
-                  ("seed", Json.int seed);
-                  ("cache_capacity", Json.int config.Batcher.cache_capacity);
-                  ("batch", Json.int config.Batcher.batch);
-                  ("jobs", Json.int jobs);
-                ] );
-            ( "points",
-              Json.List
-                (List.map
-                   (fun p ->
-                     Json.Obj
-                       [
-                         ("shards", Json.int p.cp_shards);
-                         ("completed", Json.int p.cp_completed);
-                         ("duration_s", Json.Num p.cp_duration);
-                         ("requests_per_sec", Json.Num p.cp_rps);
-                         ("latency_p50_ms", Json.Num p.cp_p50_ms);
-                         ("latency_p99_ms", Json.Num p.cp_p99_ms);
-                         ("failovers", Json.int p.cp_info.ci_failovers);
-                         ("unavailable", Json.int p.cp_info.ci_unavailable);
-                         ( "balance",
-                           Json.Obj
-                             (List.map
-                                (fun (id, n) -> (id, Json.int n))
-                                p.cp_info.ci_balance) );
-                       ])
-                   points) );
-            ( "scaling",
-              match ratio with
-              | None -> Json.Null
-              | Some r ->
-                  Json.Obj
-                    [
-                      ("shards_min", Json.int (List.fold_left min max_int counts));
-                      ("shards_max", Json.int (List.fold_left max 0 counts));
-                      ("rps_ratio", Json.Num r);
-                    ] );
-            ( "upstream_sweep",
-              Json.List
-                (List.map
-                   (fun (k, p) ->
-                     Json.Obj
-                       [
-                         ("upstream_conns", Json.int k);
-                         ("shards", Json.int p.cp_shards);
-                         ("connections", Json.int connections);
-                         ("shops_per_connection", Json.int upstream_shops);
-                         ("completed", Json.int p.cp_completed);
-                         ("duration_s", Json.Num p.cp_duration);
-                         ("requests_per_sec", Json.Num p.cp_rps);
-                         ("latency_p50_ms", Json.Num p.cp_p50_ms);
-                         ("latency_p99_ms", Json.Num p.cp_p99_ms);
-                       ])
-                   upstream_points) );
-          ]
-      in
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Json.to_string record);
-          output_char oc '\n');
-      Format.printf "wrote %s@." path
+let sat_json p =
+  Json.Obj
+    ([
+       ("connections", Json.int p.spec.connections);
+       ("batch", Json.int p.spec.batch);
+       ("drainers", Json.int (drainers_of p));
+       ( "workload",
+         Json.Str (if p.spec.workload = Mixed then "mixed" else "seed-then-resubmit") );
+       ("cache_capacity", Json.int p.spec.cache);
+       ("shops_per_connection", Json.int (shops_of p));
+     ]
+    @ measured_json p)
+
+let write_json path record =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string record);
+      output_char oc '\n');
+  Format.printf "wrote %s@." path
+
+(* The cluster benchmark record (BENCH_cluster.json). *)
+let cluster_report ~out ~workload ~points ~upstream =
+  let ratio = scaling "shards" shards_of points in
+  Option.iter
+    (fun path ->
+      write_json path
+        (Json.Obj
+           [
+             ("workload", Json.Obj workload);
+             ( "points",
+               Json.List
+                 (List.map
+                    (fun p ->
+                      let ci = Option.get p.fin.cluster in
+                      Json.Obj
+                        ((("shards", Json.int (shards_of p)) :: measured_json p)
+                        @ [
+                            ("failovers", Json.int ci.ci_failovers);
+                            ("unavailable", Json.int ci.ci_unavailable);
+                            ("balance", balance_json ci);
+                          ]))
+                    points) );
+             ( "scaling",
+               match ratio with
+               | None -> Json.Null
+               | Some (lo, hi, r) ->
+                   Json.Obj
+                     [
+                       ("shards_min", Json.int lo);
+                       ("shards_max", Json.int hi);
+                       ("rps_ratio", Json.Num r);
+                     ] );
+             ( "upstream_sweep",
+               Json.List
+                 (List.map
+                    (fun p ->
+                      Json.Obj
+                        ([
+                           ("upstream_conns", Json.int (upstream_of p));
+                           ("shards", Json.int (shards_of p));
+                           ("connections", Json.int p.spec.connections);
+                           ("shops_per_connection", Json.int (shops_of p));
+                         ]
+                        @ measured_json p))
+                    upstream) );
+           ]))
+    out
 
 (* ------------------------------------------------------------------ *)
 (* Failover check: 2 shards + dispatcher, kill one mid-burst, assert
@@ -868,14 +813,11 @@ let run_cluster_sweep ~counts ~upstream ~config ~connections ~pipeline ~shops ~r
 let failover_check ~config ~window ~seed ~upstream_conns =
   let cluster =
     spawn_cluster ~nshards:2 ~config ~window ~probe_interval:0.2 ~client_slots:3
-      ~upstream_conns ()
+      ~upstream_conns
   in
   let fail_reasons = ref [] in
-  let extra_shard = ref None in
   let fail fmt = Printf.ksprintf (fun s -> fail_reasons := s :: !fail_reasons) fmt in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Listener.resolve_host "127.0.0.1", cluster.cl_port));
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  let fd = connect ~host:"127.0.0.1" ~port:cluster.cl_port in
   (* A reply that takes >10s is a hang — the exact bug this check
      exists to catch — so bound every read. *)
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0 with Unix.Unix_error _ -> ());
@@ -1008,58 +950,53 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   (* Phase 4: re-admission — restart a shard on the same address, wait
      for the status checker to revive it, and check new shops route to
      it again. *)
-  let dead_port = (List.hd cluster.cl_shards).sh_port in
-  let dead_id = Registry.id_of ~host:"127.0.0.1" ~port:dead_port in
-  Domain.join (List.hd cluster.cl_shards).sh_domain;
-  let reborn = spawn_shard ~config ~accept_pool:3 ~window ~port:dead_port () in
-  extra_shard := Some reborn;
-  let deadline = Unix.gettimeofday () +. 15.0 in
+  Domain.join doomed.sh_domain;
   let live () =
     List.exists
-      (fun (id, state, _) -> id = dead_id && state = Registry.Live)
+      (fun (id, state, _) -> id = doomed_id && state = Registry.Live)
       (Registry.snapshot (Dispatcher.registry cluster.cl_t))
   in
-  while (not (live ())) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.05
-  done;
-  if not (live ()) then fail "phase4: killed shard not revived within 15s of restarting"
-  else begin
-    let routed_to id =
-      let st = Dispatcher.stats cluster.cl_t in
-      List.fold_left
-        (fun acc s -> if s.Dispatcher.shard_id = id then s.Dispatcher.shard_routed else acc)
-        0 st.per_shard
-    in
-    let before = routed_to dead_id in
-    let burst = List.init 24 (fun _ -> submit_line ()) in
-    send burst;
-    let replies = read_replies 24 in
-    if lost replies > 0 then fail "phase4: lost replies after revival";
-    if unavailable replies > 0 then
-      fail "phase4: %d shard-unavailable after revival" (unavailable replies);
-    if routed_to dead_id <= before then
-      fail "phase4: no traffic routed to the revived shard"
-  end;
+  let routed_to id =
+    List.fold_left
+      (fun acc s -> if s.Dispatcher.shard_id = id then s.Dispatcher.shard_routed else acc)
+      0 (Dispatcher.stats cluster.cl_t).per_shard
+  in
+  let reborn =
+    match spawn_shard ~config ~accept_pool:3 ~window ~port:doomed.sh_port () with
+    | exception e ->
+        fail "phase4: cannot restart the shard on %s: %s" doomed_id (Printexc.to_string e);
+        None
+    | reborn ->
+        let deadline = Unix.gettimeofday () +. 15.0 in
+        while (not (live ())) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.05
+        done;
+        if not (live ()) then fail "phase4: killed shard not revived within 15s of restarting"
+        else begin
+          let before = routed_to doomed_id in
+          send (List.init 24 (fun _ -> submit_line ()));
+          let replies = read_replies 24 in
+          if lost replies > 0 then fail "phase4: lost replies after revival";
+          if unavailable replies > 0 then
+            fail "phase4: %d shard-unavailable after revival" (unavailable replies);
+          if routed_to doomed_id <= before then
+            fail "phase4: no traffic routed to the revived shard"
+        end;
+        Some reborn
+  in
   (try Wire.write_all fd "quit\n" with Unix.Unix_error _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  (match !extra_shard with
-  | Some s ->
+  Option.iter
+    (fun s ->
       Listener.shutdown s.sh_control;
-      Domain.join s.sh_domain
-  | None -> ());
-  (* The killed shard's domain is already joined; stop_cluster joins
-     the rest and shuts the dispatcher down. *)
-  Dispatcher.shutdown cluster.cl_t;
-  Domain.join cluster.cl_domain;
-  List.iter
-    (fun s -> Listener.shutdown s.sh_control)
-    (List.tl cluster.cl_shards);
-  List.iter (fun s -> Domain.join s.sh_domain) (List.tl cluster.cl_shards);
+      Domain.join s.sh_domain)
+    reborn;
+  stop_cluster cluster;
   match List.rev !fail_reasons with
   | [] ->
       Format.printf
         "failover-check: ok (unavailable=%d recovery_rounds=%d re-admitted=%s)@."
-        unavailable2 !recovery_rounds dead_id;
+        unavailable2 !recovery_rounds doomed_id;
       true
   | reasons ->
       List.iter (fun r -> Format.printf "failover-check: FAIL %s@." r) reasons;
@@ -1080,104 +1017,53 @@ type soak_snapshot = {
   sn_p99_ms : float;
 }
 
-type soak_state = {
-  so_mu : Mutex.t;
-  mutable so_window : Quantile.t;
-  so_total : Quantile.t;
-  so_tally : tally;
-}
-
-let run_soak ~host ~port ~connections ~pipeline ~seed ~duration ~snapshot_every =
-  let st =
-    { so_mu = Mutex.create (); so_window = Quantile.create ();
-      so_total = Quantile.create (); so_tally = new_tally () }
-  in
+let run_soak ~host ~port ~finish ~connections ~pipeline ~seed ~duration ~snapshot_every =
+  let m = meter () and window = ref (Quantile.create ()) in
   let observe lat line =
-    Mutex.lock st.so_mu;
-    Quantile.observe st.so_window lat;
-    Quantile.observe st.so_total lat;
-    tally_line st.so_tally line;
-    Mutex.unlock st.so_mu
+    observe m lat line;
+    Mutex.protect m.mu (fun () -> Quantile.observe !window lat)
+  in
+  (* A fresh chunk per cycle: cid*offset keeps every cycle's shop
+     namespace disjoint from every other client's and cycle's. *)
+  let chunks cid =
+    let cycle = ref 0 in
+    fun () ->
+      let stream = gen_stream ~cid:((cid * 1_000_003) + !cycle) ~seed ~requests:256 () in
+      incr cycle;
+      Some (Array.of_list (List.map Protocol.render_request stream))
   in
   let t0 = Unix.gettimeofday () in
   let deadline = t0 +. duration in
-  let client cid =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Listener.resolve_host host, port));
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    let r = Wire.make_reader fd in
-    let recv () =
-      match Wire.read_line r with
-      | `Line l -> Some l
-      | `Eof | `Too_long | `Error _ -> None
-    in
-    (match recv () with Some _ -> () | None -> failwith "no greeting");
-    let cycle = ref 0 in
-    let stop = ref false in
-    while not !stop do
-      (* A fresh chunk per cycle: cid*offset keeps every cycle's shop
-         namespace disjoint from every other client's and cycle's. *)
-      let stream =
-        gen_stream ~cid:((cid * 1_000_003) + !cycle) ~seed ~requests:256 ()
-      in
-      incr cycle;
-      let reqs = Array.of_list (List.map Protocol.render_request stream) in
-      let n = Array.length reqs in
-      let t_send = Array.make n 0. in
-      let sent = ref 0 and recvd = ref 0 in
-      let target () = if !stop then !sent else n in
-      while !recvd < target () do
-        while (not !stop) && !sent < n && !sent - !recvd < pipeline do
-          if Unix.gettimeofday () >= deadline then stop := true
-          else begin
-            t_send.(!sent) <- Unix.gettimeofday ();
-            Wire.write_all fd (reqs.(!sent) ^ "\n");
-            incr sent
-          end
-        done;
-        if !recvd < target () then
-          match recv () with
-          | None -> stop := true
-          | Some line ->
-              observe (Unix.gettimeofday () -. t_send.(!recvd)) line;
-              incr recvd
-      done;
-      if Unix.gettimeofday () >= deadline then stop := true
-    done;
-    (try Wire.write_all fd "quit\n" with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-  in
-  let domains = List.init connections (fun c -> Domain.spawn (fun () -> client c)) in
   let snapshots = ref [] in
-  let take_snapshot () =
-    Mutex.lock st.so_mu;
-    let q = st.so_window in
-    st.so_window <- Quantile.create ();
-    Mutex.unlock st.so_mu;
+  (* Each snapshot covers the window since the previous one, however
+     long it turned out to be: the last is cut short by the deadline. *)
+  let take_snapshot since =
+    let q = Mutex.protect m.mu (fun () -> let q = !window in window := Quantile.create (); q) in
     let now = Unix.gettimeofday () in
     let count = Quantile.count q in
     let sn =
-      {
-        sn_t = now -. t0;
-        sn_count = count;
-        sn_rps = (if snapshot_every > 0. then float_of_int count /. snapshot_every else 0.);
+      { sn_t = now -. t0; sn_count = count; sn_rps = rate_of count (now -. since);
         sn_p50_ms = Quantile.quantile q 0.50 *. 1000.;
-        sn_p99_ms = Quantile.quantile q 0.99 *. 1000.;
-      }
+        sn_p99_ms = Quantile.quantile q 0.99 *. 1000. }
     in
     snapshots := sn :: !snapshots;
     Format.printf "soak +%6.1fs  %6d replies (%6.0f/s)  p50=%.3fms p99=%.3fms@." sn.sn_t
       sn.sn_count sn.sn_rps sn.sn_p50_ms sn.sn_p99_ms;
-    Format.print_flush ()
+    now
   in
-  while Unix.gettimeofday () < deadline do
-    let remaining = deadline -. Unix.gettimeofday () in
-    Unix.sleepf (Float.min snapshot_every remaining);
-    take_snapshot ()
-  done;
-  List.iter Domain.join domains;
-  let t_end = Unix.gettimeofday () in
-  (t_end -. t0, st.so_total, st.so_tally, List.rev !snapshots)
+  let rec snapshot_loop since =
+    if Unix.gettimeofday () < deadline then begin
+      Unix.sleepf (Float.min snapshot_every (deadline -. Unix.gettimeofday ()));
+      snapshot_loop (take_snapshot since)
+    end
+  in
+  let duration, greeting =
+    run_clients ~host ~port ~pipeline ~rate:0. ~deadline
+      ~while_running:(fun () -> snapshot_loop t0)
+      (List.init connections (fun cid -> (chunks cid, ignore, observe)))
+  in
+  ( { duration; latency = m.latency; tally = m.tally; logs = []; fin = finish greeting },
+    List.rev !snapshots )
 
 let soak_snapshot_json sn =
   Json.Obj
@@ -1192,22 +1078,20 @@ let soak_snapshot_json sn =
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                          *)
 
-let report ?(extra = []) ~out ~requests ~jobs ~config ~transport ~connections ~duration
-    ~latency ~tally ~cache_stats ~keyer_stats ~stages ~sweep ~sat () =
+let report ?(extra = []) ~out ~requests ~jobs ~config ~connections ~stages ~cache_sweep ~sat
+    (r : run) =
   let ms x = x *. 1000. in
-  let p q = ms (Quantile.quantile latency q) in
-  let completed = Quantile.count latency in
-  let rps = if duration > 0. then float_of_int completed /. duration else 0. in
-  let hit_rate hits misses =
-    let total = hits + misses in
-    if total = 0 then 0. else float_of_int hits /. float_of_int total
-  in
+  let p q = ms (Quantile.quantile r.latency q) in
+  let completed = Quantile.count r.latency in
+  let rps = rate_of completed r.duration in
+  let tally = r.tally in
+  Option.iter print_cluster_info r.fin.cluster;
   Format.printf "requests      %d (%d completed, %d overloaded)@." requests completed
     tally.overloaded;
-  Format.printf "duration      %.3fs  (%.0f requests/s)@." duration rps;
+  Format.printf "duration      %.3fs  (%.0f requests/s)@." r.duration rps;
   Format.printf "latency (ms)  p50=%.3f p95=%.3f p99=%.3f max=%.3f@." (p 0.50) (p 0.95)
     (p 0.99)
-    (ms (Quantile.max_value latency));
+    (ms (Quantile.max_value r.latency));
   List.iter
     (fun (stage, q) ->
       Format.printf "stage %-13s p50=%.3f p95=%.3f p99=%.3f max=%.3f@."
@@ -1220,143 +1104,94 @@ let report ?(extra = []) ~out ~requests ~jobs ~config ~transport ~connections ~d
   Format.printf "verdicts      admitted=%d rejected=%d undecided=%d info=%d dropped=%d \
                  errors=%d@."
     tally.admitted tally.rejected tally.undecided tally.info tally.dropped tally.errors;
-  (match cache_stats with
+  (match r.fin.cache with
   | None -> Format.printf "cache         off or remote@."
   | Some { Cache.hits; misses; evictions; size } ->
       Format.printf "cache         hits=%d misses=%d evictions=%d size=%d hit_rate=%.3f@."
         hits misses evictions size (hit_rate hits misses));
-  (match keyer_stats with
-  | None -> ()
-  | Some { Cache.Keyer.reused; rendered } ->
-      Format.printf "keyer         reused=%d rendered=%d@." reused rendered);
-  List.iter
-    (fun (capacity, { Cache.hits; misses; evictions; _ }) ->
-      Format.printf "sweep cap=%-6d hits=%d misses=%d evictions=%d hit_rate=%.3f@." capacity
-        hits misses evictions (hit_rate hits misses))
-    sweep;
-  List.iter
-    (fun s ->
-      Format.printf
-        "sat   conns=%-3d batch=%-4d drainers=%-2d %6.0f req/s  p50=%.3fms p99=%.3fms \
-         (%d in %.3fs)@."
-        s.sat_connections s.sat_batch s.sat_drainers s.sat_rps s.sat_p50_ms s.sat_p99_ms
-        s.sat_completed s.sat_duration)
-    sat;
-  match out with
-  | None -> ()
-  | Some path ->
-      let cache_json =
-        match cache_stats with
-        | None -> Json.Null
-        | Some { Cache.hits; misses; evictions; size } ->
-            Json.Obj
-              [
-                ("hits", Json.Num (float_of_int hits));
-                ("misses", Json.Num (float_of_int misses));
-                ("evictions", Json.Num (float_of_int evictions));
-                ("size", Json.Num (float_of_int size));
-                ("hit_rate", Json.Num (hit_rate hits misses));
-              ]
-      in
-      let record =
-        Json.Obj
-          ([
-            ("requests", Json.Num (float_of_int requests));
-            ("completed", Json.Num (float_of_int completed));
-            ("overloaded", Json.Num (float_of_int tally.overloaded));
-            ("duration_s", Json.Num duration);
-            ("requests_per_sec", Json.Num rps);
-            ( "latency_ms",
-              Json.Obj
-                [
-                  ("p50", Json.Num (p 0.50));
-                  ("p95", Json.Num (p 0.95));
-                  ("p99", Json.Num (p 0.99));
-                  ("max", Json.Num (ms (Quantile.max_value latency)));
-                ] );
-            ( "stage_latency_ms",
-              Json.Obj
-                (List.map
-                   (fun (stage, q) ->
-                     ( stage,
-                       Json.Obj
-                         [
-                           ("p50", Json.Num (ms (Quantile.quantile q 0.50)));
-                           ("p95", Json.Num (ms (Quantile.quantile q 0.95)));
-                           ("p99", Json.Num (ms (Quantile.quantile q 0.99)));
-                           ("max", Json.Num (ms (Quantile.max_value q)));
-                           ("count", Json.int (Quantile.count q));
-                         ] ))
-                   stages) );
-            ( "verdicts",
-              Json.Obj
-                [
-                  ("admitted", Json.Num (float_of_int tally.admitted));
-                  ("rejected", Json.Num (float_of_int tally.rejected));
-                  ("undecided", Json.Num (float_of_int tally.undecided));
-                  ("info", Json.Num (float_of_int tally.info));
-                  ("dropped", Json.Num (float_of_int tally.dropped));
-                  ("errors", Json.Num (float_of_int tally.errors));
-                ] );
-            ("cache", cache_json);
-            ( "keyer",
-              match keyer_stats with
-              | None -> Json.Null
-              | Some { Cache.Keyer.reused; rendered } ->
-                  Json.Obj
-                    [
-                      ("reused", Json.Num (float_of_int reused));
-                      ("rendered", Json.Num (float_of_int rendered));
-                    ] );
-            ( "cache_sweep",
-              Json.List
-                (List.map
-                   (fun (capacity, { Cache.hits; misses; evictions; _ }) ->
-                     Json.Obj
-                       [
-                         ("capacity", Json.Num (float_of_int capacity));
-                         ("hits", Json.Num (float_of_int hits));
-                         ("misses", Json.Num (float_of_int misses));
-                         ("evictions", Json.Num (float_of_int evictions));
-                         ("hit_rate", Json.Num (hit_rate hits misses));
-                       ])
-                   sweep) );
-            ( "saturation_sweep",
-              Json.List
-                (List.map
-                   (fun s ->
-                     Json.Obj
-                       [
-                         ("connections", Json.Num (float_of_int s.sat_connections));
-                         ("batch", Json.Num (float_of_int s.sat_batch));
-                         ("drainers", Json.int s.sat_drainers);
-                         ("workload", Json.Str s.sat_workload);
-                         ("cache_capacity", Json.int s.sat_cache);
-                         ("shops_per_connection", Json.int s.sat_shops);
-                         ("completed", Json.Num (float_of_int s.sat_completed));
-                         ("duration_s", Json.Num s.sat_duration);
-                         ("requests_per_sec", Json.Num s.sat_rps);
-                         ("latency_p50_ms", Json.Num s.sat_p50_ms);
-                         ("latency_p99_ms", Json.Num s.sat_p99_ms);
-                       ])
-                   sat) );
-            ( "config",
-              Json.Obj
-                [
-                  ("transport", Json.Str transport);
-                  ("connections", Json.Num (float_of_int connections));
-                  ("jobs", Json.Num (float_of_int jobs));
-                  ("batch", Json.Num (float_of_int config.Batcher.batch));
-                  ("queue", Json.Num (float_of_int config.Batcher.queue_capacity));
-                  ("cache_capacity", Json.Num (float_of_int config.Batcher.cache_capacity));
-                ] );
-          ]
-          @ extra)
-      in
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Json.to_string record);
-          output_char oc '\n');
-      Format.printf "wrote %s@." path
+  Option.iter
+    (fun { Cache.Keyer.reused; rendered } ->
+      Format.printf "keyer         reused=%d rendered=%d@." reused rendered)
+    r.fin.keyer;
+  let quantiles q =
+    [
+      ("p50", Json.Num (ms (Quantile.quantile q 0.50)));
+      ("p95", Json.Num (ms (Quantile.quantile q 0.95)));
+      ("p99", Json.Num (ms (Quantile.quantile q 0.99)));
+      ("max", Json.Num (ms (Quantile.max_value q)));
+    ]
+  in
+  Option.iter
+    (fun path ->
+      write_json path
+        (Json.Obj
+           ([
+              ("requests", Json.int requests);
+              ("completed", Json.int completed);
+              ("overloaded", Json.int tally.overloaded);
+              ("duration_s", Json.Num r.duration);
+              ("requests_per_sec", Json.Num rps);
+              ("latency_ms", Json.Obj (quantiles r.latency));
+              ( "stage_latency_ms",
+                Json.Obj
+                  (List.map
+                     (fun (stage, q) ->
+                       let count = ("count", Json.int (Quantile.count q)) in
+                       (stage, Json.Obj (quantiles q @ [ count ])))
+                     stages) );
+              ( "verdicts",
+                Json.Obj
+                  [
+                    ("admitted", Json.int tally.admitted);
+                    ("rejected", Json.int tally.rejected);
+                    ("undecided", Json.int tally.undecided);
+                    ("info", Json.int tally.info);
+                    ("dropped", Json.int tally.dropped);
+                    ("errors", Json.int tally.errors);
+                  ] );
+              ( "cache",
+                match r.fin.cache with
+                | None -> Json.Null
+                | Some ({ Cache.hits; misses; size; _ } as s) ->
+                    Json.Obj
+                      (cache_stats_json s
+                      @ [
+                          ("size", Json.int size);
+                          ("hit_rate", Json.Num (hit_rate hits misses));
+                        ])
+              );
+              ( "keyer",
+                match r.fin.keyer with
+                | None -> Json.Null
+                | Some { Cache.Keyer.reused; rendered } ->
+                    Json.Obj [ ("reused", Json.int reused); ("rendered", Json.int rendered) ] );
+              ( "cache_sweep",
+                Json.List
+                  (List.filter_map
+                     (fun p ->
+                       Option.map
+                         (fun ({ Cache.hits; misses; _ } as s) ->
+                           Json.Obj
+                             ((("capacity", Json.int p.spec.cache) :: cache_stats_json s)
+                             @ [ ("hit_rate", Json.Num (hit_rate hits misses)) ]))
+                         p.fin.cache)
+                     cache_sweep) );
+              ("saturation_sweep", Json.List (List.map sat_json sat));
+              ( "config",
+                Json.Obj
+                  [
+                    ("transport", Json.Str r.fin.transport);
+                    ("connections", Json.int connections);
+                    ("jobs", Json.int jobs);
+                    ("batch", Json.int config.Batcher.batch);
+                    ("queue", Json.int config.Batcher.queue_capacity);
+                    ("cache_capacity", Json.int config.Batcher.cache_capacity);
+                  ] );
+            ]
+           @ extra
+           @ Option.to_list
+               (Option.map (fun ci -> ("cluster", cluster_json ci)) r.fin.cluster))))
+    out
 
 (* ------------------------------------------------------------------ *)
 
@@ -1401,14 +1236,18 @@ let sweep_arg =
   Arg.(value & opt (some (list int)) None & info [ "cache-sweep" ] ~docv:"N,N,..." ~doc)
 
 let connect_arg =
-  let doc = "Replay over TCP against a running e2e-serve at $(docv) instead of in-process." in
+  let doc =
+    "Replay over TCP against a running e2e-serve or e2e-dispatch at $(docv) instead of \
+     in-process.  A dispatcher is recognised by its greeting and, after the run, queried \
+     for routing balance and failover counters (the cluster report)."
+  in
   Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
 
 let self_serve_arg =
   let doc =
     "Start the concurrent TCP server in-process on an ephemeral port and replay against it \
      over real sockets: the whole-transport measurement (engine config flags apply to the \
-     embedded server)."
+     embedded server, which runs one reader per client connection)."
   in
   Arg.(value & flag & info [ "self-serve" ] ~doc)
 
@@ -1423,12 +1262,8 @@ let pipeline_arg =
   let doc = "Requests each client keeps in flight (the closed-loop pipelining window)." in
   Arg.(value & opt int 8 & info [ "pipeline" ] ~docv:"W" ~doc)
 
-let accept_pool_arg =
-  let doc = "Reader domains of the embedded --self-serve server." in
-  Arg.(value & opt int 4 & info [ "accept-pool" ] ~docv:"N" ~doc)
-
 let window_arg =
-  let doc = "Per-connection reply window of the embedded --self-serve server." in
+  let doc = "Per-connection reply window of the embedded servers." in
   Arg.(value & opt int 64 & info [ "window" ] ~docv:"N" ~doc)
 
 let drainers_arg =
@@ -1499,13 +1334,6 @@ let det_clock_arg =
   in
   Arg.(value & flag & info [ "det-clock" ] ~doc)
 
-let cluster_arg =
-  let doc =
-    "Replay over TCP against a running e2e-dispatch front end at $(docv); after the run, \
-     query it for routing balance and failover counters (the cluster report)."
-  in
-  Arg.(value & opt (some string) None & info [ "cluster" ] ~docv:"HOST:PORT" ~doc)
-
 let spawn_shards_arg =
   let doc =
     "Start $(docv) in-process shards (each a full TCP e2e-serve) behind an in-process \
@@ -1517,14 +1345,17 @@ let spawn_shards_arg =
 let cluster_sweep_arg =
   let doc =
     "Shard-count scaling sweep: spin up a fresh cluster per count in the comma-separated \
-     list, replay the seed-then-query workload, and record throughput, balance and \
+     list, replay the seed-then-resubmit workload, and record throughput, balance and \
      failover counters per point (`make bench-cluster` writes BENCH_cluster.json this \
      way)."
   in
   Arg.(value & opt (some (list int)) None & info [ "cluster-sweep" ] ~docv:"N,N,..." ~doc)
 
 let cluster_shops_arg =
-  let doc = "Shops each connection submits before the query phase of the cluster sweep." in
+  let doc =
+    "Shops each connection seeds before resubmitting in the seed-then-resubmit workload of \
+     the drainer and shard sweeps."
+  in
   Arg.(value & opt int 8 & info [ "cluster-shops" ] ~docv:"K" ~doc)
 
 let duration_arg =
@@ -1548,13 +1379,6 @@ let failover_arg =
   in
   Arg.(value & flag & info [ "failover-check" ] ~doc)
 
-let parse_addr flag addr =
-  match Registry.parse_id addr with
-  | Some (h, p) -> (h, p)
-  | None ->
-      Printf.eprintf "e2e-loadgen: %s expects HOST:PORT (got %S)\n%!" flag addr;
-      exit 2
-
 (* Stage sketches accumulated by Rtrace.finish during the main run, in
    pipeline order, with the end-to-end sketch last.  Captured before the
    sweep replays so their observations don't pollute the report. *)
@@ -1566,113 +1390,99 @@ let capture_stages () =
     (Array.to_list Rtrace.stages)
   @ (match find "serve.e2e" with Some q -> [ ("e2e", q) ] | None -> [])
 
-let run requests seed rate jobs batch queue cache sweep connect self_serve connections
-    pipeline accept_pool window drainers drainer_sweep upstream_sweep upstream_conns
-    reply_log sat_conns sat_batch out trace det_clock cluster spawn_shards cluster_sweep
-    cluster_shops duration snapshot failover =
+let run requests seed rate jobs batch queue cache cache_sweep connect self_serve connections
+    pipeline window drainers drainer_sweep upstream_sweep upstream_conns reply_log sat_conns
+    sat_batch out trace det_clock spawn_shards cluster_sweep cluster_shops duration snapshot
+    failover =
+  let usage msg =
+    prerr_endline ("e2e-loadgen: " ^ msg);
+    exit 2
+  in
   let jobs = Pool.resolve_jobs jobs in
   let config =
     { Batcher.queue_capacity = queue; batch; budget = Admission.Unbounded; jobs;
       cache_capacity = cache }
   in
-  let n_targets =
-    List.length
-      (List.filter Fun.id
-         [ connect <> None; self_serve; cluster <> None; spawn_shards <> None ])
+  (* A server that goes away mid-run surfaces as a write error on its
+     connection, not a fatal signal. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  if connections < 1 then usage "--connections must be >= 1";
+  if drainers < 1 then usage "--drainers must be >= 1";
+  if upstream_conns < 1 then usage "--upstream-conns must be >= 1";
+  let target =
+    match (connect, self_serve, spawn_shards) with
+    | None, false, None -> Inproc
+    | None, true, None -> Self drainers
+    | None, false, Some n -> Shards (max 1 n, upstream_conns)
+    | Some addr, false, None -> (
+        match Registry.parse_id addr with
+        | Some (host, port) -> Remote (host, port)
+        | None -> usage (Printf.sprintf "--connect expects HOST:PORT (got %S)" addr))
+    | _ -> usage "--connect, --self-serve and --spawn-shards are mutually exclusive"
   in
-  if n_targets > 1 then begin
-    prerr_endline
-      "e2e-loadgen: --connect, --self-serve, --cluster and --spawn-shards are mutually \
-       exclusive";
-    exit 2
-  end;
-  if drainers < 1 then begin
-    prerr_endline "e2e-loadgen: --drainers must be >= 1";
-    exit 2
-  end;
-  if upstream_conns < 1 then begin
-    prerr_endline "e2e-loadgen: --upstream-conns must be >= 1";
-    exit 2
-  end;
-  if (failover || cluster_sweep <> None || upstream_sweep <> None) && n_targets > 0 then begin
-    prerr_endline
-      "e2e-loadgen: --failover-check, --cluster-sweep and --upstream-sweep spawn their \
-       own clusters";
-    exit 2
-  end;
+  let tcp = target <> Inproc in
+  (* The sweep table: every row is a target plus a workload, built from
+     the same flags as the main run. *)
+  let base = { target = Self 1; connections; batch; cache; workload = Resubmit cluster_shops } in
+  let rows flag f = List.map f (Option.value ~default:[] flag) in
+  let cache_rows =
+    rows cache_sweep (fun cache ->
+        { base with target = Inproc; connections = 1; cache; workload = Mixed })
+  in
+  let sat_rows =
+    List.concat_map
+      (fun c ->
+        List.map
+          (fun b -> { base with connections = c; batch = b; workload = Mixed })
+          (Option.value ~default:[ batch ] sat_batch))
+      (Option.value ~default:[] sat_conns)
+  in
+  let drainer_rows = rows drainer_sweep (fun d -> { base with target = Self d }) in
+  let shard_rows = rows cluster_sweep (fun n -> { base with target = Shards (n, 1) }) in
+  (* Shops per connection sized to keep the whole working set resident
+     in the single shard's cache: every resubmission is a cache hit. *)
+  let upstream_rows =
+    rows upstream_sweep (fun k ->
+        let shops = max 1 (cache / (2 * max 1 connections)) in
+        { base with target = Shards (1, k); workload = Resubmit shops })
+  in
+  let sweeping = cluster_sweep <> None || upstream_sweep <> None in
+  if tcp && (failover || sweeping || cache_rows @ sat_rows @ drainer_rows <> []) then
+    usage "the sweeps and --failover-check start their own targets";
+  if (not tcp) && (reply_log <> None || duration > 0.) then
+    usage "--reply-log and --duration require a TCP target";
+  if tcp && trace <> None then
+    usage "--trace requires the in-process engine (no --connect/--self-serve/--spawn-shards)";
   if failover then
     exit (if failover_check ~config ~window ~seed ~upstream_conns then 0 else 1);
-  (match (cluster_sweep, upstream_sweep) with
-  | None, None -> ()
-  | counts, upstream ->
-      run_cluster_sweep
-        ~counts:(Option.value ~default:[] counts)
-        ~upstream:(Option.value ~default:[] upstream)
-        ~config ~connections ~pipeline ~shops:cluster_shops ~requests ~seed ~window ~jobs
-        ~out;
-      exit 0);
-  let tcp_mode = n_targets > 0 in
-  if reply_log <> None && not tcp_mode then begin
-    prerr_endline "e2e-loadgen: --reply-log requires a TCP mode";
-    exit 2
+  let measure = measure ~config ~window ~pipeline ~seed ~requests in
+  if sweeping then begin
+    let points = List.map measure shard_rows in
+    let upstream = List.map measure upstream_rows in
+    cluster_report ~out ~points ~upstream
+      ~workload:
+        [
+          ("type", Json.Str "seed-then-resubmit");
+          ("requests", Json.int requests);
+          ("connections", Json.int connections);
+          ("pipeline", Json.int pipeline);
+          ("shops_per_connection", Json.int cluster_shops);
+          ("seed", Json.int seed);
+          ("cache_capacity", Json.int cache);
+          ("batch", Json.int batch);
+          ("jobs", Json.int jobs);
+        ];
+    exit 0
   end;
-  let transport =
-    if self_serve then "self-tcp"
-    else if spawn_shards <> None then "cluster-self"
-    else if cluster <> None then "cluster"
-    else if connect <> None then "tcp"
-    else "inproc"
-  in
   if duration > 0. then begin
-    if not tcp_mode then begin
-      prerr_endline "e2e-loadgen: --duration (soak mode) requires a TCP mode";
-      exit 2
-    end;
-    let host, port, finish =
-      match (spawn_shards, cluster, connect) with
-      | Some n, _, _ ->
-          let cl =
-            spawn_cluster ~nshards:(max 1 n) ~config ~window ~probe_interval:0.5
-              ~client_slots:(connections + 2) ~upstream_conns ()
-          in
-          ( "127.0.0.1",
-            cl.cl_port,
-            fun () ->
-              let info = cluster_info_of_stats (Dispatcher.stats cl.cl_t) in
-              stop_cluster cl;
-              Some info )
-      | None, Some addr, _ ->
-          let host, port = parse_addr "--cluster" addr in
-          (host, port, fun () -> fetch_cluster_remote ~host ~port)
-      | None, None, Some addr ->
-          let host, port = parse_addr "--connect" addr in
-          (host, port, fun () -> None)
-      | None, None, None ->
-          let stripes = E2e_serve.Stripes.create ~config ~stripes:drainers () in
-          let set, get = wait_slot () in
-          let d =
-            Domain.spawn (fun () ->
-                Server.serve_tcp ~max_connections:connections ~accept_pool ~window
-                  ~ready:set ~port:0 stripes)
-          in
-          ( "127.0.0.1",
-            get (),
-            fun () ->
-              Domain.join d;
-              None )
+    let host, port, finish = open_target ~config ~window ~connections target in
+    let r, snapshots =
+      run_soak ~host ~port ~finish ~connections ~pipeline ~seed ~duration
+        ~snapshot_every:snapshot
     in
-    let soak_duration, latency, tally, snapshots =
-      run_soak ~host ~port ~connections ~pipeline ~seed ~duration ~snapshot_every:snapshot
-    in
-    let info = finish () in
-    Option.iter print_cluster_info info;
-    let extra =
-      [ ("soak_snapshots", Json.List (List.map soak_snapshot_json snapshots)) ]
-      @ (match info with None -> [] | Some ci -> [ ("cluster", cluster_json ci) ])
-    in
-    report ~extra ~out ~requests:(Quantile.count latency) ~jobs ~config ~transport
-      ~connections ~duration:soak_duration ~latency ~tally ~cache_stats:None
-      ~keyer_stats:None ~stages:[] ~sweep:[] ~sat:[] ();
+    report ~out ~requests:(Quantile.count r.latency) ~jobs ~config ~connections ~stages:[]
+      ~cache_sweep:[] ~sat:[] r
+      ~extra:[ ("soak_snapshots", Json.List (List.map soak_snapshot_json snapshots)) ];
     exit 0
   end;
   if det_clock then begin
@@ -1689,131 +1499,63 @@ let run requests seed rate jobs batch queue cache sweep connect self_serve conne
      transport's real configuration — and, when a JSON report is
      requested, replays once more instrumented to attribute stage
      costs. *)
-  let instrumented = (trace <> None || det_clock) && not tcp_mode in
+  let instrumented = (trace <> None || det_clock) && not tcp in
   if instrumented then begin
     Obs.set_stats true;
     Obs.reset_metrics ()
   end;
   let trace_oc =
-    match (trace, tcp_mode) with
-    | Some path, false ->
+    Option.map
+      (fun path ->
         let oc = Out_channel.open_text path in
         Rtrace.set_writer
           (Some
              (fun line ->
                Out_channel.output_string oc line;
                Out_channel.output_char oc '\n'));
-        Some (path, oc)
-    | Some _, true ->
-        prerr_endline
-          "e2e-loadgen: --trace requires the in-process engine (no --connect/--self-serve)";
-        exit 2
-    | None, _ -> None
+        (path, oc))
+      trace
   in
-  let cluster_finish = ref (fun () -> None) in
-  let duration, latency, tally, cache_stats, keyer_stats =
-    if self_serve then
-      run_self
-        ~streams:(client_streams ~connections ~seed ~requests)
-        ~config ~accept_pool ~window ~drainers ~pipeline ~rate ~reply_log
-    else
-      match (spawn_shards, cluster, connect) with
-      | Some n, _, _ ->
-          let cl =
-            spawn_cluster ~nshards:(max 1 n) ~config ~window ~probe_interval:0.5
-              ~client_slots:(connections + 2) ~upstream_conns ()
-          in
-          (cluster_finish :=
-             fun () ->
-               let info = cluster_info_of_stats (Dispatcher.stats cl.cl_t) in
-               stop_cluster cl;
-               Some info);
-          let streams = client_streams ~connections ~seed ~requests in
-          let duration, results =
-            run_clients ~host:"127.0.0.1" ~port:cl.cl_port ~streams ~pipeline ~rate
-          in
-          write_reply_logs reply_log results;
-          let latency, tally = merge_client_results results in
-          (duration, latency, tally, None, None)
-      | None, Some addr, _ ->
-          let host, port = parse_addr "--cluster" addr in
-          (cluster_finish := fun () -> fetch_cluster_remote ~host ~port);
-          run_tcp
-            ~streams:(client_streams ~connections ~seed ~requests)
-            ~addr ~pipeline ~rate ~reply_log
-      | None, None, Some addr ->
-          run_tcp
-            ~streams:(client_streams ~connections ~seed ~requests)
-            ~addr ~pipeline ~rate ~reply_log
-      | None, None, None ->
-          run_inproc ~stream:(gen_stream ~seed ~requests ()) ~config ~rate
-  in
-  (match trace_oc with
-  | None -> ()
-  | Some (path, oc) ->
+  let connections = if tcp then connections else 1 in
+  let main_streams = streams ~seed ~connections ~requests Mixed in
+  let r = replay_target ~config ~window ~pipeline ~rate target main_streams in
+  Option.iter
+    (fun prefix ->
+      List.iteri
+        (fun i log ->
+          Out_channel.with_open_text
+            (Printf.sprintf "%s.conn%d" prefix i)
+            (fun oc -> List.iter (fun line -> output_string oc (line ^ "\n")) log))
+        r.logs)
+    reply_log;
+  Option.iter
+    (fun (path, oc) ->
       Rtrace.set_writer None;
       Out_channel.close oc;
-      Format.printf "wrote %s@." path);
+      Format.printf "wrote %s@." path)
+    trace_oc;
   let stages =
     if instrumented then capture_stages ()
-    else if out <> None && not tcp_mode then begin
+    else if out <> None && not tcp then begin
       (* Second, instrumented pass purely for the stage attribution in
          the JSON report; the headline duration stays the
          uninstrumented run's. *)
       Obs.set_stats true;
       Obs.reset_metrics ();
-      ignore (run_inproc ~stream:(gen_stream ~seed ~requests ()) ~config ~rate:0.);
+      ignore (run_inproc ~stream:(List.hd main_streams) ~config ~rate:0.);
       capture_stages ()
     end
     else []
   in
-  let sweep =
-    match (sweep, tcp_mode) with
-    | None, _ | _, true -> []
-    | Some capacities, false ->
-        let stream = gen_stream ~seed ~requests () in
-        List.filter_map
-          (fun capacity ->
-            let config = { config with Batcher.cache_capacity = capacity } in
-            let _, _, _, stats, _ = run_inproc ~stream ~config ~rate:0. in
-            Option.map (fun s -> (capacity, s)) stats)
-          capacities
-  in
-  let sat =
-    match sat_conns with
-    | None -> []
-    | Some conns ->
-        if tcp_mode then begin
-          prerr_endline "e2e-loadgen: the saturation sweep runs its own embedded servers";
-          exit 2
-        end;
-        (* The sweep measures the transport at its native configuration:
-           registry off, like the headline pass. *)
-        Obs.set_stats false;
-        let batches = match sat_batch with None -> [ config.Batcher.batch ] | Some l -> l in
-        let points = List.concat_map (fun c -> List.map (fun b -> (c, b)) batches) conns in
-        run_sat_sweep ~seed ~requests ~config ~pipeline ~window points
-  in
-  let sat =
-    sat
-    @
-    match drainer_sweep with
-    | None -> []
-    | Some counts ->
-        if tcp_mode then begin
-          prerr_endline "e2e-loadgen: the drainer sweep runs its own embedded servers";
-          exit 2
-        end;
-        Obs.set_stats false;
-        run_drainer_sweep ~counts ~config ~connections ~pipeline ~shops:cluster_shops
-          ~requests ~seed ~window
-  in
-  let connections = if tcp_mode then connections else 1 in
-  let info = !cluster_finish () in
-  Option.iter print_cluster_info info;
-  let extra = match info with None -> [] | Some ci -> [ ("cluster", cluster_json ci) ] in
-  report ~extra ~out ~requests ~jobs ~config ~transport ~connections ~duration ~latency
-    ~tally ~cache_stats ~keyer_stats ~stages ~sweep ~sat ()
+  let cache_sweep = List.map measure cache_rows in
+  (* The transport sweeps measure at the native configuration: registry
+     off, like the headline pass. *)
+  Obs.set_stats false;
+  let sat = List.map measure sat_rows in
+  let drainer_points = List.map measure drainer_rows in
+  ignore (scaling "drainers" drainers_of drainer_points);
+  report ~out ~requests ~jobs ~config ~connections ~stages ~cache_sweep
+    ~sat:(sat @ drainer_points) r
 
 let () =
   let doc = "Load generator for the e2e-serve admission service" in
@@ -1822,10 +1564,9 @@ let () =
     Term.(
       const run $ requests_arg $ seed_arg $ rate_arg $ jobs_arg $ batch_arg $ queue_arg
       $ cache_arg $ sweep_arg $ connect_arg $ self_serve_arg $ connections_arg
-      $ pipeline_arg $ accept_pool_arg $ window_arg $ drainers_arg $ drainer_sweep_arg
-      $ upstream_sweep_arg $ upstream_conns_arg $ reply_log_arg $ sat_conns_arg
-      $ sat_batch_arg $ out_arg $ trace_arg $ det_clock_arg $ cluster_arg
-      $ spawn_shards_arg $ cluster_sweep_arg $ cluster_shops_arg $ duration_arg
-      $ snapshot_arg $ failover_arg)
+      $ pipeline_arg $ window_arg $ drainers_arg $ drainer_sweep_arg $ upstream_sweep_arg
+      $ upstream_conns_arg $ reply_log_arg $ sat_conns_arg $ sat_batch_arg $ out_arg
+      $ trace_arg $ det_clock_arg $ spawn_shards_arg $ cluster_sweep_arg $ cluster_shops_arg
+      $ duration_arg $ snapshot_arg $ failover_arg)
   in
   exit (Cmd.eval (Cmd.v info term))

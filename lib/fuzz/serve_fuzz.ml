@@ -49,18 +49,6 @@ let tighten (shop : Recurrence_shop.t) =
   in
   Recurrence_shop.make ~visit:shop.visit tasks
 
-(* Same instance, tasks relabelled: must hit the canonical cache. *)
-let permute g (shop : Recurrence_shop.t) =
-  let order = Prng.permutation g (Recurrence_shop.n_tasks shop) in
-  let tasks =
-    Array.mapi
-      (fun p orig ->
-        let t = shop.Recurrence_shop.tasks.(orig) in
-        Task.make ~id:p ~release:t.release ~deadline:t.deadline ~proc_times:t.proc_times)
-      order
-  in
-  Recurrence_shop.make ~visit:shop.visit tasks
-
 let gen_log g =
   let requests = 6 + Prng.int g 15 in
   let live = ref [] (* (shop, instance), most recent first *) in
@@ -81,7 +69,7 @@ let gen_log g =
       end
       else if p < 0.50 then begin
         let _, earlier = Option.get (pick ()) in
-        let shop = fresh_shop () and instance = permute g earlier in
+        let shop = fresh_shop () and instance = Feasible_gen.permute g earlier in
         live := (shop, instance) :: !live;
         Admission.Submit { shop; instance }
       end

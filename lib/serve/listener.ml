@@ -135,3 +135,25 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
         Array.init (max 1 accept_pool) (fun _ -> Domain.spawn accept_loop)
         |> Array.iter Domain.join
       end)
+
+(* The ready handshake is a binary semaphore released by [ready] and
+   again when the front end ends, so a front end that stops before it
+   listens (a failed bind, a stopped control) wakes the caller instead
+   of leaving it blocked. *)
+let spawn serve =
+  let port = Atomic.make None and signal = Semaphore.Binary.make false in
+  let domain =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Semaphore.Binary.release signal)
+          (fun () ->
+            serve ~ready:(fun p ->
+                Atomic.set port (Some p);
+                Semaphore.Binary.release signal)))
+  in
+  Semaphore.Binary.acquire signal;
+  match Atomic.get port with
+  | Some p -> (p, domain)
+  | None ->
+      Domain.join domain;
+      failwith "Listener.spawn: the front end stopped before listening"

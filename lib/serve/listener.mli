@@ -65,3 +65,13 @@ val serve :
     vanished peer surfaces as a write error on its own connection), a
     connection whose setup fails is closed without taking the pool
     down, and a reader that raises ends only its own connection. *)
+
+val spawn : (ready:(int -> unit) -> unit) -> int * unit Domain.t
+(** [spawn serve] runs the front end [serve] (typically
+    [fun ~ready -> Server.serve_tcp ~ready ~port:0 stripes], or the same
+    over {!serve} or [E2e_cluster.Dispatcher.serve]) in a new domain,
+    waits for it to call [ready], and returns the bound port and the
+    domain to join.  A front end that ends without calling [ready] never leaves
+    the caller waiting: its exception is re-raised (a failed bind
+    raises its [Unix.Unix_error], [EADDRINUSE] included), and a clean
+    return (an already-stopped control) raises [Failure]. *)

@@ -73,8 +73,13 @@ let simulate_ranked ~horizon ~rank tasks =
         ignore top (* overload: leave the rest as unfinished *)
     | Some top, arrivals ->
         let next_arr = match arrivals with [] -> infinity | a :: _ -> a.ready_at in
+        (* Accumulated float drift can put a finish a hair past an
+           arrival it exactly meets; a relative tolerance keeps that
+           arrival from preempting a request that is already done. *)
         let finish_at = t +. top.remaining in
-        if finish_at <= next_arr then begin
+        let tolerance = 1e-9 *. Float.max 1.0 (Float.abs next_arr) in
+        if finish_at <= next_arr +. tolerance then begin
+          let finish_at = Float.min finish_at next_arr in
           ignore (Heap.pop pending);
           let c = { task = top.spec.id; index = top.k; ready = top.ready_at; finish = finish_at } in
           completions := c :: !completions;

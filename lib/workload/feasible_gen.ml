@@ -70,6 +70,17 @@ let generate_with_witness g p =
 
 let generate g p = fst (generate_with_witness g p)
 
+let permute g (shop : Recurrence_shop.t) =
+  let order = Prng.permutation g (Recurrence_shop.n_tasks shop) in
+  let tasks =
+    Array.mapi
+      (fun p orig ->
+        let t = shop.Recurrence_shop.tasks.(orig) in
+        Task.make ~id:p ~release:t.release ~deadline:t.deadline ~proc_times:t.proc_times)
+      order
+  in
+  Recurrence_shop.make ~visit:shop.visit tasks
+
 let identical_length g ~n ~m ~tau ~window =
   let tasks =
     Array.init n (fun i ->

@@ -39,6 +39,11 @@ val generate_with_witness :
   E2e_prng.Prng.t -> params -> E2e_model.Flow_shop.t * E2e_schedule.Schedule.t
 (** Also returns the witness schedule (always checker-feasible). *)
 
+val permute : E2e_prng.Prng.t -> E2e_model.Recurrence_shop.t -> E2e_model.Recurrence_shop.t
+(** The same instance with its tasks relabelled by one
+    {!E2e_prng.Prng.permutation} draw: a canonical-cache hit that is
+    not a textual repeat. *)
+
 (** {1 Generators for property tests} *)
 
 val identical_length :

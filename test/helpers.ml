@@ -28,28 +28,6 @@ let assert_feasible msg s =
         (Format.pp_print_list E2e_schedule.Schedule.pp_violation)
         vs
 
-(* The ready-port handshake with a server spawned in its own domain:
-   pass [set] as its [ready] callback, then [get] blocks until the
-   bound port arrives. *)
-let wait_port () =
-  let mu = Mutex.create () and cv = Condition.create () and port = ref 0 in
-  let set p =
-    Mutex.lock mu;
-    port := p;
-    Condition.signal cv;
-    Mutex.unlock mu
-  in
-  let get () =
-    Mutex.lock mu;
-    while !port = 0 do
-      Condition.wait cv mu
-    done;
-    let p = !port in
-    Mutex.unlock mu;
-    p
-  in
-  (set, get)
-
 (* Send one request line of exactly [Wire.max_line + 1] bytes, no
    newline, to the TCP front end on [port] and read to end-of-stream.
    The reader consumes every byte before it gives up on the line, so

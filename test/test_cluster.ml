@@ -168,15 +168,15 @@ let spawn_shard () =
   let config = { Batcher.default_config with Batcher.jobs = 1; queue_capacity = 4096 } in
   let stripes = E2e_serve.Stripes.create ~config () in
   let sctl = Listener.control () in
-  let set, get = Helpers.wait_port () in
-  let sdomain =
-    Domain.spawn (fun () ->
-        (* Room for two persistent upstream lanes plus a transient
-           probe and a metrics RPC at once. *)
-        Server.serve_tcp ~schedules:false ~accept_pool:4 ~window:64 ~control:sctl
-          ~ready:set ~port:0 stripes)
+  let sport, sdomain =
+    Listener.spawn
+      (* Room for two persistent upstream lanes plus a transient probe
+         and a metrics RPC at once. *)
+      (fun ~ready ->
+        Server.serve_tcp ~schedules:false ~accept_pool:4 ~window:64 ~control:sctl ~ready
+          ~port:0 stripes)
   in
-  { sport = get (); sctl; sdomain }
+  { sport; sctl; sdomain }
 
 (* Two live shards behind a dispatcher with a fast status checker;
    [f] gets the client-facing port and the dispatcher handle. *)
@@ -189,8 +189,9 @@ let with_cluster ?(upstream_conns = 1) ?(accept_pool = 3) f =
   let t =
     Dispatcher.create ~config [ ("127.0.0.1", s0.sport); ("127.0.0.1", s1.sport) ]
   in
-  let set, get = Helpers.wait_port () in
-  let ddomain = Domain.spawn (fun () -> Dispatcher.serve ~accept_pool ~ready:set ~port:0 t) in
+  let port, ddomain =
+    Listener.spawn (fun ~ready -> Dispatcher.serve ~accept_pool ~ready ~port:0 t)
+  in
   let finish () =
     Dispatcher.shutdown t;
     Domain.join ddomain;
@@ -200,7 +201,7 @@ let with_cluster ?(upstream_conns = 1) ?(accept_pool = 3) f =
         Domain.join s.sdomain)
       [ s0; s1 ]
   in
-  match f (get ()) t (s0, s1) with
+  match f port t (s0, s1) with
   | r ->
       finish ();
       r

@@ -183,6 +183,35 @@ let test_busy_period_carry_in () =
   let result = Rm_sim.simulate ~horizon:40.0 tasks in
   Alcotest.(check (float 1e-9)) "simulation attains 5.3" 5.3 result.Rm_sim.max_response.(1)
 
+(* Regression (the seed-876860 system's second processor): the job at
+   period 187 attains its exact bound of 16.5 by finishing at 577.5,
+   exactly when the period-16.5 job next arrives.  Float drift put the
+   simulated finish a hair past that arrival, the arrival preempted it,
+   and the simulated response came out as 17.33 — above the bound. *)
+let test_sim_finish_meets_arrival () =
+  let d = Rat.of_decimal_string in
+  let sys =
+    Periodic_shop.of_params
+      [|
+        (d "40.5", [| d "2.28" |]);
+        (Rat.of_int 187, [| d "12.2" |]);
+        (d "16.5", [| d "0.83" |]);
+        (d "21.25", [| d "1.19" |]);
+      |]
+  in
+  (match Response_time.per_processor sys ~processor:0 with
+  | Ok bounds -> check_rat "exact bound" (d "16.5") bounds.(1)
+  | Error _ -> Alcotest.fail "bounded (u < 1)");
+  let specs =
+    Array.map
+      (fun (jb : Periodic_shop.job) ->
+        (0.0, Rat.to_float jb.period, Rat.to_float jb.proc_times.(0)))
+      sys.Periodic_shop.jobs
+  in
+  let result = Rm_sim.simulate ~horizon:748.0 (Rm_sim.rm_priorities specs) in
+  Alcotest.(check (float 1e-6)) "simulation attains the bound" 16.5
+    result.Rm_sim.max_response.(1)
+
 let test_busy_period_full_and_over_utilization () =
   (* At u = 1 exactly the level-2 busy period closes at the hyperperiod:
      the bound is finite (5.5, matching the simulated miss depth of the
@@ -244,4 +273,6 @@ let suite =
       test_busy_period_full_and_over_utilization;
     Alcotest.test_case "RTA: table 5 fits the period" `Quick test_rta_table5_within_period;
     Alcotest.test_case "non-permutation witness" `Quick test_non_permutation_witness;
+    Alcotest.test_case "simulated finish meeting an arrival is not preempted" `Quick
+      test_sim_finish_meets_arrival;
   ]

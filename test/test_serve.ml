@@ -31,17 +31,6 @@ let gen_instance g =
        { Feasible_gen.n_tasks = n; n_processors = m; mean_tau = 1.0; stdev = 0.5;
          slack_factor = 1.0 +. Prng.float g 1.0 })
 
-let permute g (shop : Recurrence_shop.t) =
-  let order = Prng.permutation g (Recurrence_shop.n_tasks shop) in
-  let tasks =
-    Array.mapi
-      (fun p orig ->
-        let t = shop.Recurrence_shop.tasks.(orig) in
-        Task.make ~id:p ~release:t.release ~deadline:t.deadline ~proc_times:t.proc_times)
-      order
-  in
-  Recurrence_shop.make ~visit:shop.visit tasks
-
 (* Window strictly below total processing time: provably infeasible. *)
 let infeasible_instance () =
   let tasks =
@@ -70,7 +59,7 @@ let gen_log seed requests =
       end
       else if p < 0.60 then begin
         let _, earlier = Option.get (pick ()) in
-        let shop = fresh_shop () and instance = permute g earlier in
+        let shop = fresh_shop () and instance = Feasible_gen.permute g earlier in
         live := (shop, instance) :: !live;
         Admission.Submit { shop; instance }
       end
@@ -134,7 +123,7 @@ let test_canonical_key_permutation_invariant () =
   let g = Prng.of_path [| 5; 98; 0 |] in
   for _ = 1 to 20 do
     let shop = gen_instance g in
-    let shuffled = permute g shop in
+    let shuffled = Feasible_gen.permute g shop in
     Alcotest.(check string)
       "permutation has the same canonical key" (Cache.key shop) (Cache.key shuffled);
     (* A schedule computed on the canonical form, restored to the
@@ -181,7 +170,7 @@ let test_keyer_reuses () =
     (* A permutation sorts to the same canonical instance, so the second
        canonicalization must skip the render-and-digest step yet hand
        back the same key (and a perm valid for the permuted shop). *)
-    let shuffled = permute g shop in
+    let shuffled = Feasible_gen.permute g shop in
     let c2 = Cache.Keyer.canonicalize k shuffled in
     Alcotest.(check string) "permutation reuses the key" c1.Cache.key c2.Cache.key;
     (* The reused canonical carries the shuffled shop's own perm: the
@@ -326,7 +315,7 @@ let test_batch_splits_same_shop () =
   let log =
     [
       Admission.Submit { shop = "x"; instance };
-      Admission.Submit { shop = "x"; instance = permute g instance };
+      Admission.Submit { shop = "x"; instance = Feasible_gen.permute g instance };
     ]
   in
   let outcomes, _ = run_log ~jobs:2 ~cache_capacity:8 log in
@@ -583,13 +572,12 @@ let with_server ?(jobs = 1) ?(accept_pool = 3) ?(window = 64) ?(drainers = 1)
     { Batcher.default_config with Batcher.jobs; Batcher.queue_capacity = 4096 }
   in
   let stripes = Stripes.create ~config ~stripes:drainers () in
-  let set, get = Helpers.wait_port () in
-  let srv =
-    Domain.spawn (fun () ->
-        Server.serve_tcp ~schedules:false ~max_connections ~accept_pool ~window ~ready:set
+  let p, srv =
+    Listener.spawn
+      (fun ~ready ->
+        Server.serve_tcp ~schedules:false ~max_connections ~accept_pool ~window ~ready
           ~port:0 stripes)
   in
-  let p = get () in
   let r = f p in
   (* Only join on success: a failed assertion must surface, not hang
      behind a server still waiting for its connection quota. *)
@@ -691,6 +679,33 @@ let test_tcp_stopped_control () =
   let readied = ref false in
   Server.serve_tcp ~control ~ready:(fun _ -> readied := true) ~port:0 (Stripes.create ());
   Alcotest.(check bool) "ready never called" false !readied
+
+(* A spawned front end that cannot bind fails its caller instead of
+   leaving it waiting for a port: a second listener on a port already
+   in use raises EADDRINUSE, and one on a stopped control fails. *)
+let test_spawn_bind_failure () =
+  let control = Listener.control () in
+  let port, first =
+    Listener.spawn (fun ~ready -> Server.serve_tcp ~control ~ready ~port:0 (Stripes.create ()))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Listener.shutdown control;
+      Domain.join first)
+    (fun () ->
+      match
+        Listener.spawn (fun ~ready ->
+            Server.serve_tcp ~max_connections:0 ~ready ~port (Stripes.create ()))
+      with
+      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+      | _, d ->
+          Domain.join d;
+          Alcotest.fail "second listener bound a port already in use");
+  match
+    Listener.spawn (fun ~ready -> Server.serve_tcp ~control ~ready ~port:0 (Stripes.create ()))
+  with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "spawn on a stopped control reported a port"
 
 (* ------------------------------------------------------------------ *)
 (* Striped batcher                                                     *)
@@ -948,4 +963,6 @@ let suite =
     ("wire: hard reset surfaces as `Error, not EOF", `Quick, test_wire_error_surface);
     ("server: oversized stdio line answered and session ended", `Quick,
      test_session_oversized_line);
+    ("listener: spawn fails instead of hanging when the bind fails", `Quick,
+     test_spawn_bind_failure);
   ]
