@@ -15,20 +15,15 @@
 
 module Rat = E2e_rat.Rat
 module Prng = E2e_prng.Prng
-module Task = E2e_model.Task
-module Flow_shop = E2e_model.Flow_shop
 module Recurrence_shop = E2e_model.Recurrence_shop
 module Eedf = E2e_core.Eedf
 module Algo_a = E2e_core.Algo_a
 module Algo_h = E2e_core.Algo_h
 module Gen = E2e_workload.Feasible_gen
 module Admission = E2e_serve.Admission
-module Batcher = E2e_serve.Batcher
 module Cache = E2e_serve.Cache
 module SM = E2e_core.Single_machine
 module Ref = E2e_fuzz.Single_machine_ref
-module Obs = E2e_obs.Obs
-module Quantile = E2e_obs.Quantile
 
 let pool ~seed ~count f =
   let g = Prng.create seed in
@@ -60,16 +55,7 @@ let trimmed_mean ~warmup ~trials ~reps f =
   done;
   !sum /. float_of_int (hi - lo + 1)
 
-(* [stages] is empty for most rows; serve_admission rows carry a
-   per-stage latency decomposition (name, p50/p95/p99 in seconds). *)
-type row = {
-  family : string;
-  n : int;
-  mean_s : float;
-  trials : int;
-  reps : int;
-  stages : (string * float * float * float) list;
-}
+type row = { family : string; n : int; mean_s : float; trials : int; reps : int }
 
 (* {1 Workloads} *)
 
@@ -152,9 +138,10 @@ let serve_case n =
    {!SM.Inc} state; the timed body is a single-task edit plus re-solve.
    States are persistent, so every call starts from the same resident
    handle — no drift across trials.  The churn model is the serve
-   pattern the delta path targets: fresh tasks arrive with releases near
-   the committed horizon and cancellations hit recent arrivals, so the
-   checkpoint prefix below the edit's release is mostly reusable. *)
+   pattern: fresh tasks arrive with releases near the committed horizon
+   and cancellations hit recent arrivals.  Such an in-horizon add or a
+   drop rebuilds the state, so [inc_add]/[inc_drop] measure a rebuild;
+   only a past-horizon arrival ([inc_append]) takes the append path. *)
 let inc_setup n =
   let g = Prng.create (5000 + n) in
   let fs = Gen.identical_length g ~n ~m:4 ~tau:Rat.one ~window:(2 * n) in
@@ -208,29 +195,17 @@ let inc_append_case (st, _, _, _, arrivals) =
     incr i;
     SM.Inc.solve (SM.Inc.add_task st ~at:(SM.Inc.n_jobs st) ~release:r ~deadline:d)
 
-(* The one-task-edited job set of [inc_add]. *)
-let edited_jobs jobs =
+(* The cost the warm path avoids: a scratch [Inc.make] of the
+   one-task-edited job set of [inc_add], what a serving path without a
+   warm handle runs. *)
+let inc_make_case (_, jobs, deltas, _, _) =
   let n = Array.length jobs in
-  fun (at, r, d) ->
+  let edited (at, r, d) =
     Array.init (n + 1) (fun k ->
         if k < at then { jobs.(k) with SM.id = k }
         else if k = at then { SM.id = k; release = r; deadline = d }
         else { jobs.(k - 1) with SM.id = k })
-
-(* A from-scratch solve of the same one-task-edited job set through the
-   older [schedule] engine. *)
-let inc_scratch_case (_, jobs, deltas, _, _) =
-  let edited = edited_jobs jobs in
-  let i = ref 0 in
-  fun () ->
-    let delta = deltas.(!i mod 16) in
-    incr i;
-    SM.schedule ~tau:Rat.one (edited delta)
-
-(* The cost the warm path avoids: a scratch [Inc.make] of the edited
-   set, what a serving path without a warm handle runs. *)
-let inc_make_case (_, jobs, deltas, _, _) =
-  let edited = edited_jobs jobs in
+  in
   let i = ref 0 in
   fun () ->
     let delta = deltas.(!i mod 16) in
@@ -276,40 +251,6 @@ let serve_inc_case engine adds =
     incr i;
     Admission.apply engine req
 
-(* Per-stage latency decomposition for the serve rows: replay the same
-   request log through the batched pipeline with telemetry on and read
-   the stage sketches.  Wall-clock and untimed-loop, so the numbers are
-   indicative; the tracked regression signal stays [mean_us]. *)
-let serve_stage_latencies n =
-  let log = serve_log n in
-  Obs.set_stats true;
-  Obs.reset_metrics ();
-  let config = { Batcher.default_config with Batcher.cache_capacity = 4096 } in
-  ignore (Batcher.process_log (Batcher.create ~config ()) log);
-  let stages =
-    List.filter_map
-      (fun (name, q) ->
-        let prefix = "serve.stage." in
-        let stage =
-          if String.starts_with ~prefix name then
-            Some (String.sub name (String.length prefix)
-                    (String.length name - String.length prefix))
-          else if name = "serve.e2e" then Some "e2e"
-          else None
-        in
-        Option.map
-          (fun s ->
-            ( s,
-              Quantile.quantile q 0.50,
-              Quantile.quantile q 0.95,
-              Quantile.quantile q 0.99 ))
-          stage)
-      (Obs.sketches ())
-  in
-  Obs.set_stats false;
-  Obs.reset_metrics ();
-  stages
-
 (* {1 Harness} *)
 
 let reps_for ~n ~base = Stdlib.max 1 (base / n)
@@ -320,11 +261,11 @@ let run_all ~small =
   let def_warmup = if small then 1 else 2 in
   let def_trials = if small then 3 else 7 in
   let rep_base = if small then 200 else 1000 in
-  let case ?(warmup = def_warmup) ?(trials = def_trials) ?(stages = []) family n f =
+  let case ?(warmup = def_warmup) ?(trials = def_trials) family n f =
     let reps = reps_for ~n ~base:rep_base in
     let mean_s = trimmed_mean ~warmup ~trials ~reps f in
     Printf.eprintf "%-12s n=%-5d %12.1f us/call\n%!" family n (mean_s *. 1e6);
-    { family; n; mean_s; trials; reps; stages }
+    { family; n; mean_s; trials; reps }
   in
   let rows = ref [] in
   let push r = rows := r :: !rows in
@@ -343,15 +284,14 @@ let run_all ~small =
       end;
       push (case "algo_a" n (algo_a_case n));
       push (case "algo_h" n (algo_h_case n));
-      push (case ~stages:(serve_stage_latencies n) "serve_admission" n (serve_case n));
-      (* Incremental churn: the scratch row repeats a full solve per
+      push (case "serve_admission" n (serve_case n));
+      (* Incremental churn: the rebuild rows repeat a full solve per
          call, so the largest size runs with trimmed repetitions. *)
       let inc = inc_setup n in
       let warmup, trials = if n > 1000 then (1, 3) else (def_warmup, def_trials) in
       push (case ~warmup ~trials "inc_add" n (inc_add_case inc));
       push (case ~warmup ~trials "inc_drop" n (inc_drop_case inc));
       push (case ~warmup ~trials "inc_append" n (inc_append_case inc));
-      push (case ~warmup ~trials "inc_scratch" n (inc_scratch_case inc));
       push (case ~warmup ~trials "inc_make" n (inc_make_case inc));
       let warm, cold, adds = serve_inc_setup n in
       push (case ~warmup ~trials "serve_admission_incremental" n (serve_inc_case warm adds));
@@ -390,11 +330,8 @@ let inc_speedups ~base ~warm rows =
         else Some (n, mean_s /. List.fold_left Float.max 0. times))
     rows
 
-(* [speedup_inc_vs_scratch] keeps its original base, the older
-   [schedule] engine; the [Inc.make] base is the one serving pays. *)
 let inc_ratio_keys =
   [
-    ("speedup_inc_vs_scratch", "inc_scratch", [ "inc_add"; "inc_drop" ]);
     ("speedup_inc_vs_make", "inc_make", [ "inc_add"; "inc_drop" ]);
     ("speedup_append_vs_make", "inc_make", [ "inc_append" ]);
   ]
@@ -407,23 +344,12 @@ let json_of rows sizes ref_cap ~small =
        (String.concat "," (List.map string_of_int sizes))
        ref_cap);
   List.iteri
-    (fun i { family; n; mean_s; trials; reps; stages } ->
+    (fun i { family; n; mean_s; trials; reps } ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"family\":\"%s\",\"n\":%d,\"mean_us\":%.3f,\"trials\":%d,\"reps\":%d"
-           family n (mean_s *. 1e6) trials reps);
-      if stages <> [] then begin
-        Buffer.add_string buf ",\"stage_us\":{";
-        List.iteri
-          (fun j (stage, p50, p95, p99) ->
-            if j > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf
-              (Printf.sprintf "\"%s\":{\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f}" stage
-                 (p50 *. 1e6) (p95 *. 1e6) (p99 *. 1e6)))
-          stages;
-        Buffer.add_char buf '}'
-      end;
-      Buffer.add_char buf '}')
+        (Printf.sprintf
+           "{\"family\":\"%s\",\"n\":%d,\"mean_us\":%.3f,\"trials\":%d,\"reps\":%d}"
+           family n (mean_s *. 1e6) trials reps))
     rows;
   Buffer.add_string buf "],\"speedup_eedf_vs_ref\":[";
   List.iteri

@@ -9,285 +9,39 @@ type region = { left : rat; right : rat }
 
 let pp_region ppf r = Format.fprintf ppf "(%a, %a)" Rat.pp r.left Rat.pp r.right
 
-(* Forbidden regions, indexed.
+(* {1 The engine}
 
-   The classical derivation packs, for every release r and every
-   deadline d, the jobs with release >= r and deadline <= d as late as
-   possible before d (avoiding regions already found); if that packing
-   starts at c, then (c - tau, r) is forbidden (and c < r proves
-   infeasibility).  Enumerating the (r, d) pairs costs O(n^2) packings
-   of O(n) steps each.
+   One solved state ([Inc.state]) backs every single-machine solve:
+   [schedule], [forbidden_regions], Algorithms A and H, flow-shop EEDF
+   and the warm serving handle all read an [Inc.make] state.
 
-   One backward pass per release subsumes the whole deadline loop: walk
-   the jobs with release >= r in decreasing-deadline order, keeping the
-   running packing start
+   Forbidden regions.  The classical derivation packs, for every release
+   r and every deadline d, the jobs with release >= r and deadline <= d
+   as late as possible before d (avoiding regions already found); if
+   that packing starts at c, then (c - tau, r) is forbidden (and c < r
+   proves infeasibility).  One backward pass per release subsumes the
+   whole deadline loop: walk the jobs with release >= r in
+   decreasing-deadline order, keeping the running packing start
 
      s := adjust_down (min (deadline_j, s) - tau)
 
    (each job must end both by its own deadline and by the start of the
    job packed after it).  Take the last job whose own deadline was the
    binding constraint, say with deadline d*: the suffix from that job on
-   is exactly the latest packing of the jobs with deadline <= d* — the
-   per-deadline packing for d* — and every per-deadline packing
-   restricted this way starts no earlier than the full pass does.  So
-   the final s equals the minimum over all deadlines of the classical
-   per-(r, d) packing starts, and the single region (s - tau, r) is
-   precisely the union of the per-deadline regions for r (they share
-   the right endpoint r).  Infeasibility (some packing starting before
-   r) also coincides: packing starts only decrease along the pass.
+   is exactly the latest packing of the jobs with deadline <= d*, and
+   every per-deadline packing restricted this way starts no earlier than
+   the full pass does.  So the final s is the minimum over all deadlines
+   of the per-(r, d) packing starts, and the single region (s - tau, r)
+   is the union of the per-deadline regions for r (they share the right
+   endpoint r).  Passes run over the distinct releases in descending
+   order, each on top of the regions the higher passes found.
 
-   Cost: one O(n log n) sort, then per release one pass over the jobs
-   released at or after it with an O(log n) region lookup per step —
-   O(n^2 log n) worst case, O(n log n) when release times are few, and
-   free of the per-(r, d) re-packing that made the scan version
-   O(n^3). *)
-let forbidden_regions_iset ~tau jobs =
-  let n = Array.length jobs in
-  let by_deadline = Array.copy jobs in
-  Array.sort (fun a b -> Rat.compare b.deadline a.deadline) by_deadline;
-  let releases_desc =
-    List.rev
-      (List.sort_uniq Rat.compare (Array.to_list (Array.map (fun j -> j.release) jobs)))
-  in
-  let exception Infeasible in
-  try
-    let regions = ref Interval_set.empty in
-    List.iter
-      (fun r ->
-        let s = ref None in
-        for i = 0 to n - 1 do
-          let j = by_deadline.(i) in
-          if Rat.(j.release >= r) then begin
-            let cap = match !s with None -> j.deadline | Some s -> Rat.min j.deadline s in
-            s := Some (Interval_set.adjust_down !regions (Rat.sub cap tau))
-          end
-        done;
-        match !s with
-        | None -> ()
-        | Some e ->
-            if Rat.(e < r) then begin
-              if Obs.enabled () then
-                Obs.event "single_machine.infeasible_window"
-                  ~fields:
-                    [
-                      ("release", Obs.Str (Rat.to_string r));
-                      ("packing_start", Obs.Str (Rat.to_string e));
-                    ];
-              raise Infeasible
-            end;
-            let left = Rat.sub e tau in
-            if Rat.(left < r) then begin
-              if Obs.enabled () then
-                Obs.event "single_machine.forbidden_region"
-                  ~fields:
-                    [
-                      ("left", Obs.Str (Rat.to_string left));
-                      ("right", Obs.Str (Rat.to_string r));
-                    ];
-              regions := Interval_set.add !regions ~left ~right:r
-            end)
-      releases_desc;
-    Ok !regions
-  with Infeasible -> Error `Infeasible
+   Two kernels compute a pass's s, chosen by job count ([fold_max_jobs]):
 
-let forbidden_regions ~tau jobs =
-  match forbidden_regions_iset ~tau jobs with
-  | Error `Infeasible -> Error `Infeasible
-  | Ok iset ->
-      Ok (List.map (fun (left, right) -> { left; right }) (Interval_set.to_list iset))
+   - the fold walks every job in decreasing-deadline order: O(n) per
+     release, nothing to build;
 
-(* Priority-driven EDF dispatch on two heaps: [pending] orders the
-   not-yet-released jobs by release time, [ready] orders the released
-   ones by (deadline, release, id) — the heap pop is exactly the EDF
-   choice with the deterministic tie-break.  [advance] postpones
-   candidate dispatch instants (identity for the plain-EDF ablation,
-   forbidden-region hopping for the optimal variant). *)
-let pending_cmp a b =
-  let c = Rat.compare a.release b.release in
-  if c <> 0 then c else compare a.id b.id
-
-let ready_cmp a b =
-  let c = Rat.compare a.deadline b.deadline in
-  let c = if c <> 0 then c else Rat.compare a.release b.release in
-  if c <> 0 then c else compare a.id b.id
-
-let edf_dispatch ~tau ~advance jobs =
-  let n = Array.length jobs in
-  let starts = Array.make n Rat.zero in
-  let missed = ref None in
-  let pending = Heap.of_list ~cmp:pending_cmp (Array.to_list jobs) in
-  let ready = Heap.create ~cmp:ready_cmp in
-  (* Initialise the machine to the earliest release so time starts sane. *)
-  let free = ref (match Heap.peek pending with Some j -> j.release | None -> Rat.zero) in
-  for _ = 1 to n do
-    (* Candidate dispatch time: machine free, and at least one release.
-       Every ready job was released before the machine last went busy,
-       so a non-empty ready queue pins the candidate to [free]. *)
-    let t =
-      ref
-        (if Heap.is_empty ready then
-           match Heap.peek pending with
-           | Some j -> Rat.max !free j.release
-           | None -> assert false
-         else !free)
-    in
-    let rec settle () =
-      let t' = advance !t in
-      if Rat.(t' > !t) then begin
-        t := t';
-        settle ()
-      end
-    in
-    settle ();
-    (* Everything released by the dispatch instant competes. *)
-    let rec migrate () =
-      match Heap.peek pending with
-      | Some j when Rat.(j.release <= !t) ->
-          ignore (Heap.pop pending);
-          Heap.push ready j;
-          migrate ()
-      | _ -> ()
-    in
-    migrate ();
-    match Heap.pop ready with
-    | None -> assert false
-    | Some j ->
-        starts.(j.id) <- !t;
-        let finish = Rat.add !t tau in
-        free := finish;
-        if Obs.enabled () then begin
-          Obs.incr "single_machine.dispatches";
-          Obs.event "single_machine.dispatch"
-            ~fields:
-              [
-                ("job", Obs.Int j.id);
-                ("t", Obs.Float (Rat.to_float !t));
-                ("deadline", Obs.Float (Rat.to_float j.deadline));
-              ]
-        end;
-        if Rat.(finish > j.deadline) && !missed = None then begin
-          if Obs.enabled () then begin
-            Obs.incr "single_machine.deadline_misses";
-            Obs.event "single_machine.deadline_miss"
-              ~fields:
-                [
-                  ("job", Obs.Int j.id);
-                  ("finish", Obs.Float (Rat.to_float finish));
-                  ("deadline", Obs.Float (Rat.to_float j.deadline));
-                ]
-          end;
-          missed := Some j.id
-        end
-  done;
-  (starts, !missed)
-
-(* Re-index jobs so [job.id] can be used as an array slot even when the
-   caller's ids are arbitrary; results are returned in input order. *)
-let with_dense_ids jobs f =
-  let dense = Array.mapi (fun i j -> { j with id = i }) jobs in
-  f dense
-
-let schedule ~tau jobs =
-  if Array.length jobs = 0 then Ok [||]
-  else
-    Obs.span "single_machine.schedule"
-      ~fields:[ ("jobs", Obs.Int (Array.length jobs)) ]
-      (fun () ->
-        match
-          Obs.span "single_machine.forbidden_regions" (fun () ->
-              forbidden_regions_iset ~tau jobs)
-        with
-        | Error `Infeasible -> Error `Infeasible
-        | Ok iset ->
-            if Obs.enabled () then
-              Obs.event "single_machine.regions"
-                ~fields:[ ("count", Obs.Int (Interval_set.cardinal iset)) ];
-            with_dense_ids jobs (fun dense ->
-                let starts, missed =
-                  Obs.span "single_machine.edf_dispatch" (fun () ->
-                      edf_dispatch ~tau ~advance:(Interval_set.adjust_up iset) dense)
-                in
-                match missed with Some _ -> Error `Infeasible | None -> Ok starts))
-
-let edf_schedule_no_regions ~tau jobs =
-  if Array.length jobs = 0 then Ok [||]
-  else
-    with_dense_ids jobs (fun dense ->
-        let starts, missed = edf_dispatch ~tau ~advance:Fun.id dense in
-        match missed with
-        | Some i -> Error (`Deadline_missed jobs.(i).id)
-        | None -> Ok starts)
-
-let feasible_starts ~tau jobs starts =
-  let n = Array.length jobs in
-  Array.length starts = n
-  && begin
-       let ok = ref true in
-       for i = 0 to n - 1 do
-         if Rat.(starts.(i) < jobs.(i).release) then ok := false;
-         if Rat.(Rat.add starts.(i) tau > jobs.(i).deadline) then ok := false
-       done;
-       let order = List.init n Fun.id in
-       let order = List.sort (fun a b -> Rat.compare starts.(a) starts.(b)) order in
-       let rec disjoint = function
-         | a :: (b :: _ as rest) ->
-             if Rat.(Rat.add starts.(a) tau > starts.(b)) then ok := false;
-             disjoint rest
-         | [] | [ _ ] -> ()
-       in
-       disjoint order;
-       !ok
-     end
-
-let brute_force_feasible ~tau jobs =
-  let n = Array.length jobs in
-  let used = Array.make n false in
-  (* For a fixed order, starting every job as early as possible is
-     optimal, so feasibility = some order survives the greedy timing. *)
-  let rec go scheduled free =
-    if scheduled = n then true
-    else
-      let rec try_jobs i =
-        if i >= n then false
-        else if used.(i) then try_jobs (i + 1)
-        else begin
-          let s = Rat.max free jobs.(i).release in
-          if Rat.(Rat.add s tau <= jobs.(i).deadline) then begin
-            used.(i) <- true;
-            let ok = go (scheduled + 1) (Rat.add s tau) in
-            used.(i) <- false;
-            if ok then true else try_jobs (i + 1)
-          end
-          else try_jobs (i + 1)
-        end
-      in
-      try_jobs 0
-  in
-  let earliest =
-    Array.fold_left (fun acc j -> Rat.min acc j.release) Rat.zero jobs
-  in
-  go 0 earliest
-
-(* {1 Incremental solver state}
-
-   [schedule] above is the from-scratch reference: one backward packing
-   pass per distinct release, then one EDF dispatch sweep.  [Inc] keeps
-   enough persistent state to redo only the part of that work an
-   [add_task]/[remove_task] invalidates, while producing byte-identical
-   results (the [eedf-inc] differential fuzz class enforces exact
-   agreement on regions, schedules and verdicts).
-
-   Two observations make the delta cheap:
-
-   - Region passes run over releases in DESCENDING order and the pass
-     for release [r] reads only jobs with release [>= r].  An edit at
-     release [r0] therefore leaves every pass for a release [> r0]
-     bit-identical, so the state keeps one {!E2e_ds.Interval_set}
-     snapshot per distinct release (O(1) shares — the set is
-     persistent) and resumes the sweep at the first release [<= r0].
-
-   - The resumed passes cannot afford the reference's O(n) fold each.
-     The fold result for release [r] equals
+   - the tree evaluates the same value as
 
        min over active deadlines d of  g^{N(d)}(d)
 
@@ -301,27 +55,26 @@ let brute_force_feasible ~tau jobs =
      [g^k(d) = d - k tau]; each region hop can lower a walk by at most
      the region's length, and a walk crosses each region at most once
      (values strictly decrease), so the true value lies within
-     [Lambda = measure regions] of the no-region value.  The state
-     keeps the no-region values [d - N(d) tau] in a lazy min segment
-     tree (plus a Fenwick tree for the counts), reads the tree minimum,
+     [Lambda = measure regions] of the no-region value.  A lazy min
+     segment tree keeps the no-region values [d - N(d) tau] (plus a
+     Fenwick tree for the counts); a pass reads the tree minimum,
      evaluates [g^{N(d)}(d)] exactly — batching the subtraction steps
      between regions with one floor division — only for the candidates
-     within [Lambda] of it, and takes the exact minimum.
+     within [Lambda] of it, and takes the exact minimum.  O(log n +
+     candidates) per release after an O(n log n) build.
 
-   Dispatch reuse: starts are strictly increasing, so the committed
-   dispatch order is replayed up to [cut = min r0 L], where [L] is
-   {!E2e_ds.Interval_set.first_difference} of the old and new region
-   sets.  Below [cut] the two runs are in lockstep (the edited job,
-   release [>= r0], is invisible there, and [adjust_up] agrees on every
-   instant below the first region difference), so the prefix is copied
-   and the heap loop resumes from its frontier.
+   Both return the exact fold value, so the choice never changes a
+   result; the [eedf-fast] and [eedf-inc] fuzz classes draw instances
+   on both sides of the constant and compare against the scan-based
+   reference.
 
-   Appends: an edit at the top release is the worst case of the resumed
-   sweep (every pass sits at or below it), yet it is what an online
-   arrival usually is.  A job appended past the horizon — above every
-   release, and with a deadline far enough above every deadline — is
-   proved not to touch any resident pass ([append] below), so it skips
-   the sweep and only extends the dispatch. *)
+   Dispatch: EDF on two heaps, [pending] by release time and [ready] by
+   (deadline, release, id), dispatching only outside the regions.
+
+   Appends: a job appended past the horizon — above every release, and
+   with a deadline far enough above every deadline — is proved not to
+   touch any resident pass ([Inc.append]), so it keeps the region set
+   and only extends the dispatch.  Every other edit rebuilds. *)
 
 module Inc = struct
   module Iset = Interval_set
@@ -391,14 +144,6 @@ module Inc = struct
         (match (t.min_.(2 * i), t.min_.((2 * i) + 1)) with
         | None, x | x, None -> x
         | Some a, Some b -> Some (Rat.min a b))
-
-    (* Leaves set in one pass (activation values already absolute),
-       internals pulled bottom-up: O(size). *)
-    let build t values =
-      Array.iteri (fun i v -> t.min_.(t.size + i) <- v) values;
-      for i = t.size - 1 downto 1 do
-        pull t i
-      done
 
     let range_add t l r k =
       if l <= r && k <> 0 then begin
@@ -484,43 +229,30 @@ module Inc = struct
     in
     go x k
 
-  type checkpoint = { release : rat; before : Iset.t }
-  (* Region set before the pass for [release] ran (equivalently: after
-     every pass for a strictly greater release).  Checkpoints are kept
-     in descending release order; on infeasibility the failing release's
-     checkpoint is the last one. *)
+  (* A pass kernel is a pair [(activate, start)]: [activate p] admits job
+     [p] into the current pass, and [start regions lambda r] returns the
+     fold value s over the admitted jobs for release [r], given the
+     regions so far and their measure [lambda]. *)
 
-  type core = Feasible_regions of Iset.t | Infeasible_at of rat
-
-  type dispatch = {
-    order : (int * rat) array; (* (position, start) in dispatch order *)
-    starts : rat array; (* by position *)
-    missed : int option; (* first position whose deadline is missed *)
-  }
-
-  type state = {
-    tau : rat;
-    jobs : job array; (* ids = positions, caller order *)
-    checkpoints : checkpoint array;
-    core : core;
-    disp : dispatch option; (* None iff core = Infeasible_at *)
-  }
-
-  let tau st = st.tau
-  let n_jobs st = Array.length st.jobs
-  let jobs st = Array.copy st.jobs
-
-  (* Redo the packing passes for distinct releases <= r0 (all of them
-     when [r0_opt] is [None]), on top of [kept] checkpoints whose passes
-     (releases > r0) are unchanged and produced [start_regions]. *)
-  let compute_core ~tau (jobs : job array) ~kept ~start_regions ~r0_opt =
-    let n = Array.length jobs in
-    let included p =
-      match r0_opt with None -> false | Some r0 -> Rat.(jobs.(p).release > r0)
+  let fold_kernel ~tau (jobs : job array) =
+    let by_deadline = Array.copy jobs in
+    Array.stable_sort (fun (a : job) b -> Rat.compare b.deadline a.deadline) by_deadline;
+    (* The largest deadline caps nothing, so it seeds the running start. *)
+    let start regions _lambda r =
+      let s = ref by_deadline.(0).deadline in
+      for i = 0 to Array.length by_deadline - 1 do
+        let j = by_deadline.(i) in
+        if Rat.(j.release >= r) then
+          s := Iset.adjust_down regions (Rat.sub (Rat.min j.deadline !s) tau)
+      done;
+      !s
     in
+    (ignore, start)
+
+  let tree_kernel ~tau (jobs : job array) =
     (* Distinct deadlines, ascending. *)
-    let sorted = Array.map (fun j -> j.deadline) jobs in
-    Array.sort Rat.compare sorted;
+    let sorted = Array.map (fun (j : job) -> j.deadline) jobs in
+    Array.stable_sort Rat.compare sorted;
     let m = ref 0 in
     Array.iteri
       (fun i d ->
@@ -539,110 +271,134 @@ module Inc = struct
       done;
       !lo
     in
-    (* Job positions by release, descending. *)
-    let by_release = Array.init n Fun.id in
-    Array.sort (fun a b -> Rat.compare jobs.(b).release jobs.(a).release) by_release;
     let fen = Fenwick.create m in
     let tree = Vtree.create ~tau m in
-    let active = Array.make (max m 1) false in
-    (* Bulk-activate the jobs whose passes are kept. *)
-    let cnt = Array.make (max m 1) 0 in
-    Array.iteri
-      (fun p j -> if included p then cnt.(dpos j.deadline) <- cnt.(dpos j.deadline) + 1)
-      jobs;
-    let leaves = Array.make m None in
-    let running = ref 0 in
-    for pos = 0 to m - 1 do
-      running := !running + cnt.(pos);
-      if cnt.(pos) > 0 then begin
-        Fenwick.add fen pos cnt.(pos);
-        active.(pos) <- true;
-        leaves.(pos) <- Some (Rat.sub distinct.(pos) (Rat.mul_int tau !running))
-      end
-    done;
-    Vtree.build tree leaves;
-    let regions = ref start_regions in
-    let lambda = ref (Iset.measure start_regions) in
-    let cps = ref [] in
-    let idx = ref 0 in
-    while !idx < n && included by_release.(!idx) do
-      incr idx
-    done;
-    let verdict = ref None in
-    while !verdict = None && !idx < n do
-      let r = jobs.(by_release.(!idx)).release in
-      cps := { release = r; before = Iset.snapshot !regions } :: !cps;
-      while
-        !idx < n && Rat.equal jobs.(by_release.(!idx)).release r
-      do
-        let p = by_release.(!idx) in
-        let pos = dpos jobs.(p).deadline in
-        Fenwick.add fen pos 1;
-        if active.(pos) then Vtree.range_add tree pos (m - 1) 1
-        else begin
-          Vtree.range_add tree (pos + 1) (m - 1) 1;
-          Vtree.assign tree pos
-            (Rat.sub jobs.(p).deadline (Rat.mul_int tau (Fenwick.prefix fen pos)));
-          active.(pos) <- true
-        end;
-        incr idx
-      done;
-      let s =
-        match Vtree.root_min tree with
-        | None -> assert false (* at least one job just activated *)
-        | Some vmin ->
-            let threshold = Rat.add vmin !lambda in
-            let best = ref None in
-            Vtree.iter_le tree threshold (fun pos _ ->
-                let tv = eval_gk !regions ~tau distinct.(pos) (Fenwick.prefix fen pos) in
-                match !best with
-                | Some b when Rat.(b <= tv) -> ()
-                | _ -> best := Some tv);
-            Option.get !best
-      in
-      if Rat.(s < r) then verdict := Some (Infeasible_at r)
+    let active = Array.make m false in
+    let activate p =
+      let d = jobs.(p).deadline in
+      let pos = dpos d in
+      Fenwick.add fen pos 1;
+      if active.(pos) then Vtree.range_add tree pos (m - 1) 1
       else begin
-        let left = Rat.sub s tau in
-        if Rat.(left < r) then begin
-          regions := Iset.add !regions ~left ~right:r;
-          lambda := Iset.measure !regions
-        end
+        Vtree.range_add tree (pos + 1) (m - 1) 1;
+        Vtree.assign tree pos (Rat.sub d (Rat.mul_int tau (Fenwick.prefix fen pos)));
+        active.(pos) <- true
       end
-    done;
-    let core =
-      match !verdict with Some c -> c | None -> Feasible_regions !regions
     in
-    (core, Array.append kept (Array.of_list (List.rev !cps)))
+    let start regions lambda _r =
+      match Vtree.root_min tree with
+      | None -> assert false (* at least one job was admitted *)
+      | Some vmin ->
+          let threshold = Rat.add vmin (Lazy.force lambda) in
+          let best = ref None in
+          Vtree.iter_le tree threshold (fun pos _ ->
+              let tv = eval_gk regions ~tau distinct.(pos) (Fenwick.prefix fen pos) in
+              match !best with Some b when Rat.(b <= tv) -> () | _ -> best := Some tv);
+          Option.get !best
+    in
+    (activate, start)
 
-  (* EDF dispatch resumed from a committed prefix (positions, starts):
-     prefix starts are replayed, the heap frontier is rebuilt exactly as
-     the monolithic loop would have left it (ready = undispatched jobs
-     released by the last prefix start, machine free at its finish), and
-     the loop continues.  An empty prefix is the from-scratch run. *)
-  let dispatch_from ~tau ~advance (jobs : job array) (prefix : (int * rat) array) =
+  (* The job count up to which the fold kernel runs.  The fold costs
+     O(n) per release; the tree costs an O(n log n) build, then
+     O(log n + candidates) per release.  Region pass per call, fold vs
+     tree (median of alternating blocks, 2-core x86-64 VM, OCaml 5.1),
+     on the core bench's identical-length shops (4 stages, window 2n,
+     so nearly every release is distinct): 2.4 vs 4.0 us at n=8, 10.8
+     vs 12.7 at n=16, 23.4 vs 25.4 at n=24, 32.7 vs 31.8 at n=28, 38.7
+     vs 36.0 at n=32, 83 vs 60 at n=48, 1356 vs 443 at n=225 and 30.3
+     vs 2.7 ms at n=1000.  So the serving mix's shops (at most 16 jobs)
+     run the fold and growing identical-length shops (200-260 jobs) the
+     tree. *)
+  let fold_max_jobs = 24
+
+  (* The region set of [jobs], or [None] when some pass proves
+     infeasibility. *)
+  let compute_core ~tau (jobs : job array) =
     let n = Array.length jobs in
-    let np = Array.length prefix in
-    let starts = Array.make n Rat.zero in
-    let order = Array.make n (0, Rat.zero) in
-    let missed = ref None in
-    let in_prefix = Array.make (max n 1) false in
-    Array.iteri
-      (fun i (p, s) ->
-        order.(i) <- (p, s);
-        starts.(p) <- s;
-        in_prefix.(p) <- true;
-        if Rat.(Rat.add s tau > jobs.(p).deadline) && !missed = None then missed := Some p)
-      prefix;
+    (* Jobs by release, descending. *)
+    let by_release = Array.copy jobs in
+    Array.stable_sort (fun (a : job) b -> Rat.compare b.release a.release) by_release;
+    let activate, start =
+      if n <= fold_max_jobs then fold_kernel ~tau jobs else tree_kernel ~tau jobs
+    in
+    let rec pass idx regions lambda =
+      if idx >= n then Some regions
+      else begin
+        let r = by_release.(idx).release in
+        let idx = ref idx in
+        while !idx < n && Rat.equal by_release.(!idx).release r do
+          activate by_release.(!idx).id;
+          incr idx
+        done;
+        let s = start regions lambda r in
+        if Rat.(s < r) then begin
+          if Obs.enabled () then
+            Obs.event "single_machine.infeasible_window"
+              ~fields:
+                [ ("release", Obs.Str (Rat.to_string r)); ("packing_start", Obs.Str (Rat.to_string s)) ];
+          None
+        end
+        else
+          let left = Rat.sub s tau in
+          if Rat.(left < r) then begin
+            if Obs.enabled () then
+              Obs.event "single_machine.forbidden_region"
+                ~fields:[ ("left", Obs.Str (Rat.to_string left)); ("right", Obs.Str (Rat.to_string r)) ];
+            let regions = Iset.add regions ~left ~right:r in
+            pass !idx regions (lazy (Iset.measure regions))
+          end
+          else pass !idx regions lambda
+      end
+    in
+    pass 0 Iset.empty (lazy Rat.zero)
+
+  type dispatch = {
+    order : int array; (* positions in dispatch order *)
+    starts : rat array; (* by position *)
+    missed : int option; (* first position, in dispatch order, whose deadline is missed *)
+  }
+
+  let no_dispatch = { order = [||]; starts = [||]; missed = None }
+
+  let pending_cmp (a : job) (b : job) =
+    let c = Rat.compare a.release b.release in
+    if c <> 0 then c else compare a.id b.id
+
+  let ready_cmp (a : job) (b : job) =
+    let c = Rat.compare a.deadline b.deadline in
+    let c = if c <> 0 then c else Rat.compare a.release b.release in
+    if c <> 0 then c else compare a.id b.id
+
+  (* Priority-driven EDF dispatch on two heaps: [pending] orders the
+     not-yet-released jobs by release time, [ready] orders the released
+     ones by (deadline, release, id) — the heap pop is exactly the EDF
+     choice with the deterministic tie-break.  [advance] postpones
+     candidate dispatch instants (forbidden-region hopping for the
+     optimal variant, identity for the plain-EDF ablation).
+
+     [prefix] is a finished dispatch of the first [k] positions that
+     EDF would also run first on [jobs] ([append]'s case): its starts
+     are kept, the heap frontier is rebuilt exactly as the loop would
+     have left it (ready = later jobs released by the last prefix start,
+     machine free at its finish), and the loop continues.  [no_dispatch]
+     is the from-scratch run.  Job ids must be positions. *)
+  let dispatch_from ~tau ~advance (jobs : job array) prefix =
+    let n = Array.length jobs in
+    let np = Array.length prefix.order in
+    let order = Array.make n 0 and starts = Array.make n Rat.zero in
+    Array.blit prefix.order 0 order 0 np;
+    Array.blit prefix.starts 0 starts 0 np;
+    let missed = ref prefix.missed in
     let pending = Heap.create ~cmp:pending_cmp in
     let ready = Heap.create ~cmp:ready_cmp in
-    let t_last = if np = 0 then None else Some (snd prefix.(np - 1)) in
-    Array.iteri
-      (fun p (j : job) ->
-        if not in_prefix.(p) then
-          match t_last with
-          | Some tl when Rat.(j.release <= tl) -> Heap.push ready j
-          | _ -> Heap.push pending j)
-      jobs;
+    let t_last = if np = 0 then None else Some starts.(order.(np - 1)) in
+    for p = np to n - 1 do
+      let j = jobs.(p) in
+      match t_last with
+      | Some tl when Rat.(j.release <= tl) -> Heap.push ready j
+      | _ -> Heap.push pending j
+    done;
+    (* The machine starts at the earliest release so time starts sane. *)
     let free =
       ref
         (match t_last with
@@ -650,6 +406,9 @@ module Inc = struct
         | None -> ( match Heap.peek pending with Some j -> j.release | None -> Rat.zero))
     in
     for step = np to n - 1 do
+      (* Candidate dispatch time: machine free, and at least one release.
+         Every ready job was released before the machine last went busy,
+         so a non-empty ready queue pins the candidate to [free]. *)
       let t =
         ref
           (if Heap.is_empty ready then
@@ -666,6 +425,7 @@ module Inc = struct
         end
       in
       settle ();
+      (* Everything released by the dispatch instant competes. *)
       let rec migrate () =
         match Heap.peek pending with
         | Some j when Rat.(j.release <= !t) ->
@@ -679,87 +439,69 @@ module Inc = struct
       | None -> assert false
       | Some j ->
           starts.(j.id) <- !t;
-          order.(step) <- (j.id, !t);
-          free := Rat.add !t tau;
-          if Rat.(!free > j.deadline) && !missed = None then missed := Some j.id
+          order.(step) <- j.id;
+          let finish = Rat.add !t tau in
+          free := finish;
+          if Obs.enabled () then begin
+            Obs.incr "single_machine.dispatches";
+            Obs.event "single_machine.dispatch"
+              ~fields:
+                [
+                  ("job", Obs.Int j.id);
+                  ("t", Obs.Float (Rat.to_float !t));
+                  ("deadline", Obs.Float (Rat.to_float j.deadline));
+                ]
+          end;
+          if Rat.(finish > j.deadline) && !missed = None then begin
+            if Obs.enabled () then begin
+              Obs.incr "single_machine.deadline_misses";
+              Obs.event "single_machine.deadline_miss"
+                ~fields:
+                  [
+                    ("job", Obs.Int j.id);
+                    ("finish", Obs.Float (Rat.to_float finish));
+                    ("deadline", Obs.Float (Rat.to_float j.deadline));
+                  ]
+            end;
+            missed := Some j.id
+          end
     done;
     { order; starts; missed = !missed }
 
-  let finish ~tau ~(jobs : job array) ~checkpoints ~core ~prefix =
-    match core with
-    | Infeasible_at _ -> { tau; jobs; checkpoints; core; disp = None }
-    | Feasible_regions iset ->
-        let disp = dispatch_from ~tau ~advance:(Iset.adjust_up iset) jobs prefix in
-        { tau; jobs; checkpoints; core; disp = Some disp }
+  type state = {
+    tau : rat;
+    jobs : job array; (* ids = positions, caller order *)
+    solved : (Iset.t * dispatch) option; (* None iff a pass proved infeasibility *)
+  }
+
+  let tau st = st.tau
+  let n_jobs st = Array.length st.jobs
+  let jobs st = Array.copy st.jobs
+
+  (* Solve [jobs] (ids already positions) from scratch. *)
+  let build ~tau jobs =
+    let solved =
+      match Obs.span "single_machine.forbidden_regions" (fun () -> compute_core ~tau jobs) with
+      | None -> None
+      | Some regions ->
+          if Obs.enabled () then
+            Obs.event "single_machine.regions" ~fields:[ ("count", Obs.Int (Iset.cardinal regions)) ];
+          let disp =
+            Obs.span "single_machine.edf_dispatch" (fun () ->
+                dispatch_from ~tau ~advance:(Iset.adjust_up regions) jobs no_dispatch)
+          in
+          Some (regions, disp)
+    in
+    { tau; jobs; solved }
 
   let make ~tau jobs =
     if Rat.(tau <= Rat.zero) then invalid_arg "Single_machine.Inc.make: tau must be positive";
-    let jobs = Array.mapi (fun i j -> { j with id = i }) jobs in
-    let core, checkpoints =
-      compute_core ~tau jobs ~kept:[||] ~start_regions:Iset.empty ~r0_opt:None
-    in
-    finish ~tau ~jobs ~checkpoints ~core ~prefix:[||]
-
-  (* Old dispatch prefix still valid after an edit at release [r0]:
-     entries with start < cut, where below [cut] the edited job is not
-     yet released and the region sets agree (see the module comment).
-     [remap] carries old positions to new ones ([None] = edited away —
-     unreachable for starts below cut, but filtered defensively). *)
-  let reusable_prefix old_st ~new_core ~r0 ~remap =
-    match (old_st.core, old_st.disp, new_core) with
-    | Feasible_regions old_iset, Some od, Feasible_regions new_iset ->
-        let cut =
-          match Iset.first_difference old_iset new_iset with
-          | None -> r0
-          | Some l -> Rat.min r0 l
-        in
-        let out = ref [] in
-        (try
-           Array.iter
-             (fun (p, s) ->
-               if Rat.(s >= cut) then raise Exit;
-               match remap p with Some q -> out := (q, s) :: !out | None -> raise Exit)
-             od.order
-         with Exit -> ());
-        Array.of_list (List.rev !out)
-    | _ -> [||]
-
-  let delta st (jobs : job array) ~r0 ~remap =
-    match st.core with
-    | Infeasible_at rf when Rat.(r0 < rf) ->
-        (* Every pass down to and including the failing one reads only
-           jobs with release >= rf > r0: the verdict and the checkpoints
-           survive the edit unchanged. *)
-        { st with jobs }
-    | _ ->
-        let kept_n = ref 0 in
-        while
-          !kept_n < Array.length st.checkpoints
-          && Rat.(st.checkpoints.(!kept_n).release > r0)
-        do
-          incr kept_n
-        done;
-        let kept = Array.sub st.checkpoints 0 !kept_n in
-        let start_regions =
-          if !kept_n < Array.length st.checkpoints then st.checkpoints.(!kept_n).before
-          else
-            match st.core with
-            | Feasible_regions r -> r
-            | Infeasible_at _ ->
-                (* The failing release has a checkpoint and is <= r0, so
-                   the sub above always finds it. *)
-                assert false
-        in
-        let core, checkpoints =
-          compute_core ~tau:st.tau jobs ~kept ~start_regions ~r0_opt:(Some r0)
-        in
-        let prefix = reusable_prefix st ~new_core:core ~r0 ~remap in
-        finish ~tau:st.tau ~jobs ~checkpoints ~core ~prefix
+    build ~tau (Array.mapi (fun i j -> { j with id = i }) jobs)
 
   (* Past-horizon arrival: a job (r0, d0) appended at position n onto a
-     feasible state with a dispatch, where r0 is strictly above every
-     resident release, d0 - tau >= every resident deadline and
-     d0 - 2 tau >= r0.  Such an edit leaves every resident pass alone:
+     feasible state, where r0 is strictly above every resident release,
+     d0 - tau >= every resident deadline and d0 - 2 tau >= r0.  Such an
+     edit leaves every resident pass alone:
 
      1. The new job's own pass (the highest release) sees only itself,
         so s = d0 - tau >= r0 + tau: no region, no infeasibility.
@@ -772,27 +514,23 @@ module Inc = struct
      3. The new job has the latest deadline and the latest release, so
         EDF dispatches it after every resident job.
 
-     Hence the region set and every checkpoint survive, the new pass's
-     checkpoint (empty region set) goes in front, and the dispatch
-     resumes from the whole old order.  [None] when the test fails. *)
+     Hence the region set survives and the dispatch resumes from the
+     whole old order.  [None] when the test fails. *)
   let append st (jobs : job array) ~release ~deadline =
-    match (st.core, st.disp) with
-    | Feasible_regions iset, Some od ->
+    match st.solved with
+    | None -> None
+    | Some (regions, disp) ->
         let tau = st.tau in
-        let above_releases =
-          Array.length st.checkpoints = 0 || Rat.(release > st.checkpoints.(0).release)
-        in
         let top = Rat.sub deadline tau in
         if
-          above_releases
-          && Rat.(Rat.sub top tau >= release)
-          && Array.for_all (fun (j : job) -> Rat.(top >= j.deadline)) st.jobs
+          Rat.(Rat.sub top tau >= release)
+          && Array.for_all
+               (fun (j : job) -> Rat.(release > j.release) && Rat.(top >= j.deadline))
+               st.jobs
         then
-          let checkpoints = Array.append [| { release; before = Iset.empty } |] st.checkpoints in
-          let disp = dispatch_from ~tau ~advance:(Iset.adjust_up iset) jobs od.order in
-          Some { st with jobs; checkpoints; disp = Some disp }
+          let disp = dispatch_from ~tau ~advance:(Iset.adjust_up regions) jobs disp in
+          Some { st with jobs; solved = Some (regions, disp) }
         else None
-    | _ -> None
 
   let add_task st ~at ~release ~deadline =
     let n = Array.length st.jobs in
@@ -809,30 +547,88 @@ module Inc = struct
         st'
     | None ->
         Obs.incr "eedf.inc_resweep";
-        delta st jobs ~r0:release ~remap:(fun q -> if q >= at then Some (q + 1) else Some q)
+        build ~tau:st.tau jobs
 
   let remove_task st ~at =
     let n = Array.length st.jobs in
     if at < 0 || at >= n then
       invalid_arg "Single_machine.Inc.remove_task: position out of range";
-    let r0 = st.jobs.(at).release in
-    let jobs =
-      Array.init (n - 1) (fun i ->
-          if i < at then st.jobs.(i) else { (st.jobs.(i + 1)) with id = i })
-    in
-    delta st jobs ~r0 ~remap:(fun q ->
-        if q = at then None else if q > at then Some (q - 1) else Some q)
+    build ~tau:st.tau
+      (Array.init (n - 1) (fun i ->
+           if i < at then st.jobs.(i) else { (st.jobs.(i + 1)) with id = i }))
 
   let solve st =
-    match (st.core, st.disp) with
-    | Infeasible_at _, _ -> Error `Infeasible
-    | Feasible_regions _, Some d -> (
-        match d.missed with Some _ -> Error `Infeasible | None -> Ok d.starts)
-    | Feasible_regions _, None -> assert false
+    match st.solved with
+    | Some (_, { missed = None; starts; _ }) -> Ok starts
+    | Some (_, { missed = Some _; _ }) | None -> Error `Infeasible
 
   let regions st =
-    match st.core with
-    | Infeasible_at _ -> Error `Infeasible
-    | Feasible_regions iset ->
-        Ok (List.map (fun (left, right) -> { left; right }) (Iset.to_list iset))
+    match st.solved with
+    | None -> Error `Infeasible
+    | Some (iset, _) -> Ok (List.map (fun (left, right) -> { left; right }) (Iset.to_list iset))
 end
+
+let forbidden_regions ~tau jobs = Inc.regions (Inc.make ~tau jobs)
+
+let schedule ~tau jobs =
+  if Array.length jobs = 0 then Ok [||]
+  else
+    Obs.span "single_machine.schedule"
+      ~fields:[ ("jobs", Obs.Int (Array.length jobs)) ]
+      (fun () -> Inc.solve (Inc.make ~tau jobs))
+
+let edf_schedule_no_regions ~tau jobs =
+  let dense = Array.mapi (fun i j -> { j with id = i }) jobs in
+  match Inc.dispatch_from ~tau ~advance:Fun.id dense Inc.no_dispatch with
+  | { missed = Some i; _ } -> Error (`Deadline_missed jobs.(i).id)
+  | { starts; missed = None; _ } -> Ok starts
+
+let feasible_starts ~tau jobs starts =
+  let n = Array.length jobs in
+  Array.length starts = n
+  && begin
+       let ok = ref true in
+       for i = 0 to n - 1 do
+         if Rat.(starts.(i) < jobs.(i).release) then ok := false;
+         if Rat.(Rat.add starts.(i) tau > jobs.(i).deadline) then ok := false
+       done;
+       let order = List.init n Fun.id in
+       let order = List.sort (fun a b -> Rat.compare starts.(a) starts.(b)) order in
+       let rec disjoint = function
+         | a :: (b :: _ as rest) ->
+             if Rat.(Rat.add starts.(a) tau > starts.(b)) then ok := false;
+             disjoint rest
+         | [] | [ _ ] -> ()
+       in
+       disjoint order;
+       !ok
+     end
+
+let brute_force_feasible ~tau jobs =
+  let n = Array.length jobs in
+  let used = Array.make n false in
+  (* For a fixed order, starting every job as early as possible is
+     optimal, so feasibility = some order survives the greedy timing. *)
+  let rec go scheduled free =
+    if scheduled = n then true
+    else
+      let rec try_jobs i =
+        if i >= n then false
+        else if used.(i) then try_jobs (i + 1)
+        else begin
+          let s = Rat.max free jobs.(i).release in
+          if Rat.(Rat.add s tau <= jobs.(i).deadline) then begin
+            used.(i) <- true;
+            let ok = go (scheduled + 1) (Rat.add s tau) in
+            used.(i) <- false;
+            if ok then true else try_jobs (i + 1)
+          end
+          else try_jobs (i + 1)
+        end
+      in
+      try_jobs 0
+  in
+  let earliest =
+    Array.fold_left (fun acc j -> Rat.min acc j.release) Rat.zero jobs
+  in
+  go 0 earliest

@@ -12,16 +12,21 @@
     make those [m] jobs late.  EDF that only dispatches outside the
     forbidden regions ("modified release times") is optimal.
 
-    Both phases run on the indexed structures of {!E2e_ds}: forbidden
-    regions live in a sorted disjoint-interval set (O(log n) lookup) and
-    are built by one backward packing pass per distinct release time —
-    O(n^2 log n) worst case instead of the O(n^3) release x deadline x
-    job scan — and the EDF dispatch loop runs on two binary heaps
-    (pending jobs by release, ready jobs by deadline), O(n log n)
-    instead of the O(n^2) per-dispatch scan.  The historical scan-based
-    implementation is kept verbatim as [E2e_fuzz.Single_machine_ref];
-    the [eedf-fast] differential-fuzz class checks the two engines
-    byte-identical on every output. *)
+    One engine, {!Inc}, solves every instance: {!schedule} and
+    {!forbidden_regions} read an {!Inc.make} state, and the flow-shop
+    solvers (EEDF, Algorithms A and H) and the warm serving handle share
+    that code path.  Forbidden regions are built by one backward
+    packing pass per distinct release time into a sorted
+    disjoint-interval set (O(log n) lookup); each pass's packing start
+    comes from a plain fold over the jobs on small instances and from a
+    lazy min segment tree over deadline positions on large ones (the
+    job count {!Inc.fold_max_jobs} picks, and both give the same
+    value).  The EDF dispatch loop runs on two binary heaps (pending
+    jobs by release, ready jobs by deadline), O(n log n).  The
+    historical scan-based implementation is kept verbatim as
+    [E2e_fuzz.Single_machine_ref]; the [eedf-fast] and [eedf-inc]
+    differential-fuzz classes check the engine against it on every
+    output, on both sides of the kernel constant. *)
 
 type rat = E2e_rat.Rat.t
 
@@ -36,20 +41,24 @@ val pp_region : Format.formatter -> region -> unit
 
 val forbidden_regions :
   tau:rat -> job array -> (region list, [ `Infeasible ]) result
-(** All forbidden regions, sorted by left endpoint, pairwise disjoint.
-    [`Infeasible] when some backward packing already proves that no
-    schedule can meet all deadlines. *)
+(** All forbidden regions, sorted by left endpoint, pairwise disjoint:
+    [Inc.regions (Inc.make ~tau jobs)].  [`Infeasible] when some
+    backward packing already proves that no schedule can meet all
+    deadlines.
+    @raise Invalid_argument when [tau <= 0]. *)
 
 val schedule :
   tau:rat -> job array -> (rat array, [ `Infeasible ]) result
-(** Optimal start times (input order): EDF over the forbidden regions.
-    [Error `Infeasible] means no feasible schedule exists at all — the
-    algorithm is optimal. *)
+(** Optimal start times (input order): EDF over the forbidden regions,
+    [Inc.solve (Inc.make ~tau jobs)].  [Error `Infeasible] means no
+    feasible schedule exists at all — the algorithm is optimal.
+    @raise Invalid_argument when [tau <= 0] and [jobs] is non-empty. *)
 
 val edf_schedule_no_regions : tau:rat -> job array -> (rat array, [ `Deadline_missed of int ]) result
 (** Plain priority-driven EDF without forbidden regions — the ablation
-    baseline showing why the regions are needed.  Fails with the first
-    job whose deadline is missed. *)
+    baseline showing why the regions are needed, run by the engine's
+    dispatcher with no region to hop.  Fails with the first job whose
+    deadline is missed. *)
 
 val feasible_starts : tau:rat -> job array -> rat array -> bool
 (** Independent check that the given start times respect releases,
@@ -60,23 +69,18 @@ val brute_force_feasible : tau:rat -> job array -> bool
     order, which is optimal for a fixed order).  Exponential; for tests
     on small instances only. *)
 
-(** Incremental solver state: persistent forbidden-region checkpoints
-    plus a replayable EDF dispatch log, warm-startable under single-task
-    edits.
+(** The solved state: the job set, its forbidden-region set and its
+    EDF dispatch order, persistent under single-task edits.
 
-    {!Inc.make} solves from scratch and parks the per-release region
-    snapshots ({!E2e_ds.Interval_set} is persistent, so each snapshot is
-    an O(1) share).  {!Inc.add_task}/{!Inc.remove_task} re-run only the
-    packing passes for releases at or below the edited job's release —
-    using a lazy min segment tree over deadline positions so each
-    resumed pass costs O(log n + candidates) instead of O(n) — and
-    replay the committed dispatch order up to the first instant where
-    the old and new region sets (or the edit itself) can matter.
-
-    The contract is {e exact} agreement with {!schedule} on the same job
-    array: same regions, same start times, same feasibility verdicts,
-    byte for byte.  The [eedf-inc] differential fuzz class enforces this
-    on random add/drop logs. *)
+    {!Inc.make} solves from scratch.  {!Inc.add_task} of a past-horizon
+    arrival keeps the region set (provably unchanged) and only extends
+    the dispatch from the committed order; every other
+    {!Inc.add_task} and every {!Inc.remove_task} rebuilds the state
+    with {!Inc.make}.  Either way the result equals a from-scratch
+    solve of the same job array: same regions, same start times, same
+    feasibility verdicts, byte for byte.  The [eedf-inc] differential
+    fuzz class checks this against the scan-based reference on random
+    add/drop logs. *)
 module Inc : sig
   type state
 
@@ -87,9 +91,8 @@ module Inc : sig
       @raise Invalid_argument when [tau <= 0]. *)
 
   val solve : state -> (rat array, [ `Infeasible ]) result
-  (** The current schedule (start times by position), identical to
-      [schedule ~tau (jobs state)].  O(1): solving happened at
-      construction / edit time. *)
+  (** The current schedule (start times by position).  O(1): solving
+      happened at construction / edit time. *)
 
   val add_task : state -> at:int -> release:rat -> deadline:rat -> state
   (** New state with a job inserted at position [at] (positions at or
@@ -98,17 +101,18 @@ module Inc : sig
       above every resident release, [deadline - tau] at or above every
       resident deadline and [deadline - 2 tau >= release] — keeps every
       resident region pass and only extends the dispatch (counter
-      [eedf.inc_append]); any other insertion re-runs the passes at or
-      below [release] ([eedf.inc_resweep]).
+      [eedf.inc_append]); any other insertion rebuilds the state
+      ([eedf.inc_resweep]).
       @raise Invalid_argument when [at] is outside [0..n_jobs]. *)
 
   val remove_task : state -> at:int -> state
   (** New state with the job at position [at] removed (positions after
-      [at] shift down).  The input state remains valid.
+      [at] shift down), rebuilt from scratch.  The input state remains
+      valid.
       @raise Invalid_argument when [at] is outside [0..n_jobs-1]. *)
 
   val regions : state -> (region list, [ `Infeasible ]) result
-  (** Current forbidden regions, identical to [forbidden_regions]. *)
+  (** Current forbidden regions, sorted by left endpoint. *)
 
   val n_jobs : state -> int
 
@@ -116,4 +120,9 @@ module Inc : sig
   (** Current jobs in position order (a copy). *)
 
   val tau : state -> rat
+
+  val fold_max_jobs : int
+  (** The job count up to which a packing pass folds over the jobs;
+      larger instances use the segment tree.  Exposed so the fuzz
+      generators can draw instances on both sides of it. *)
 end

@@ -61,13 +61,14 @@ let solve shop =
 (* {2 Incremental capability}
 
    A resident handle onto the identical-length (EEDF) solve of one flow
-   shop: the reduced single-machine instance is kept as a warm-started
+   shop: the reduced single-machine instance is kept as a
    {!Single_machine.Inc.state}, and a superset shop obtained by admitting
-   more tasks is re-solved by [add_task] deltas instead of from scratch.
-   The verdicts are byte-identical to {!solve} on the same shop — EEDF
-   is deterministic and [Single_machine.Inc] agrees exactly with
-   [Single_machine.schedule] (the [eedf-inc] fuzz contract) — so callers
-   may freely mix this path with cold solves. *)
+   more tasks is re-solved by [add_task] (an append when the task lands
+   past the horizon, a rebuild otherwise).  The verdicts are
+   byte-identical to {!solve} on the same shop — [Single_machine.schedule]
+   reads the same engine, and every edited state equals a from-scratch
+   solve (the [eedf-inc] fuzz contract) — so callers may freely mix this
+   path with cold solves. *)
 module Incremental = struct
   type t = { tau : E2e_rat.Rat.t; m : int; inc : Single_machine.Inc.state }
 

@@ -19,7 +19,8 @@ val solve : E2e_model.Flow_shop.t -> verdict
 
     A resident handle keeps the reduced single-machine instance as a
     {!Single_machine.Inc.state}; admitting more tasks re-solves by
-    [add_task] deltas (O(delta) passes) instead of from scratch.  All
+    [add_task]: a task past the horizon only extends the dispatch, any
+    other task rebuilds the state.  All
     verdicts are byte-identical to {!solve} on the same shop, so cold
     and warm paths can be mixed freely — the [eedf-inc] differential
     fuzz class enforces the underlying engine agreement. *)

@@ -68,5 +68,3 @@ let of_list ~cmp l =
 let drain t =
   let rec go acc = match pop t with None -> List.rev acc | Some x -> go (x :: acc) in
   go []
-
-let copy t = { cmp = t.cmp; data = Array.copy t.data; size = t.size }

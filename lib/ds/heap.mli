@@ -29,12 +29,6 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Removes and returns the minimum element. *)
 
-val copy : 'a t -> 'a t
-(** O(n) snapshot: an independent heap with the same contents and
-    comparison; pushes and pops on either side never affect the other
-    (elements themselves are shared).  This is the cheap-snapshot hook
-    for solver states that park a dispatch frontier. *)
-
 val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 
 val drain : 'a t -> 'a list

@@ -42,31 +42,10 @@ let adjust_up (t : t) x =
 let adjust_down (t : t) x =
   match containing t x with None -> x | Some i -> fst t.(i)
 
-(* The representation is an immutable sorted array, so a snapshot is the
-   value itself: every operation returns a fresh array and never mutates
-   an existing one, which makes sharing O(1) and unconditionally safe.
-   [snapshot]/[of_snapshot] exist to name that contract at call sites
-   (the incremental solver keeps one snapshot per checkpoint). *)
-let snapshot (t : t) : t = t
-let of_snapshot (t : t) : t = t
-
 let get (t : t) i = t.(i)
 
 let measure (t : t) =
   Array.fold_left (fun acc (l, r) -> Rat.add acc (Rat.sub r l)) Rat.zero t
-
-let first_difference (a : t) (b : t) =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i =
-    if i >= na && i >= nb then None
-    else if i >= na then Some (fst b.(i))
-    else if i >= nb then Some (fst a.(i))
-    else
-      let la, ra = a.(i) and lb, rb = b.(i) in
-      if Rat.equal la lb && Rat.equal ra rb then go (i + 1)
-      else Some (Rat.min la lb)
-  in
-  go 0
 
 let add (t : t) ~left ~right =
   if Rat.(left >= right) then t
@@ -93,27 +72,4 @@ let add (t : t) ~left ~right =
     out.(lo) <- (!merged_left, !merged_right);
     Array.blit t hi out (lo + 1) (n - hi);
     out
-  end
-
-(* Subtracting an OPEN interval from an open set is not representable
-   here ((a, l] is not open), so [remove] subtracts the CLOSED interval
-   [left, right]: every open piece of the difference is expressible, and
-   for the solver's use (dropping a region ending exactly at a release
-   point) the closed semantics is the natural one.  [left = right]
-   removes the single point, splitting any interval containing it. *)
-let remove (t : t) ~left ~right =
-  if Rat.(left > right) then t
-  else begin
-    let out = ref [] in
-    Array.iter
-      (fun ((l, r) as iv) ->
-        (* The open (l, r) misses the closed [left, right] exactly when
-           it lies entirely at or before [left] or at or after [right]. *)
-        if Rat.(r <= left) || Rat.(right <= l) then out := iv :: !out
-        else begin
-          if Rat.(l < left) then out := (l, left) :: !out;
-          if Rat.(right < r) then out := (right, r) :: !out
-        end)
-      t;
-    Array.of_list (List.rev !out)
   end

@@ -93,26 +93,41 @@ let recurrent g =
   in
   Recurrence_shop.make ~visit tasks
 
+(* A job count a little above the single-machine engine's fold-kernel
+   constant, so the segment-tree kernel is differential-tested too (and
+   an [eedf-inc] log, which starts from half the jobs, crosses from one
+   kernel to the other).  Such instances spread their releases over a
+   window a quarter to a half of their job count wide, so they stay
+   feasible often enough to build regions. *)
+let above_fold_kernel g =
+  let n = E2e_core.Single_machine.Inc.fold_max_jobs + 1 + Prng.int g 8 in
+  (n, (n / 4) + Prng.int g (n / 4))
+
 (* The differential class has no exhaustive oracle to stay inside, so it
    can afford real contention: up to 40 tasks fighting over windows a few
    jobs wide, which is where the indexed engine's heap order and interval
-   merges see interesting traffic. *)
+   merges see interesting traffic.  A quarter of the instances sit just
+   above the fold-kernel constant. *)
 let identical_large g =
-  let n = 1 + Prng.int g 40 in
+  let n, window =
+    if Prng.int g 4 = 0 then above_fold_kernel g else (1 + Prng.int g 40, 1 + Prng.int g 8)
+  in
   let m = 1 + Prng.int g 4 in
-  let window = 1 + Prng.int g 8 in
   let tau = Prng.rat_uniform g ~den:2 (Rat.make 1 2) (Rat.of_int 2) in
   tighten g (Feasible_gen.identical_length g ~n ~m ~tau ~window)
 
-(* Incremental-vs-scratch churn: the oracle runs a deterministic add/
-   drop log over each instance, re-solving after every edit, so the
-   instance stays a bit smaller than [identical_large] while keeping the
-   windows tight enough that edits flip feasibility and reshape the
-   forbidden regions mid-log. *)
+(* Edit churn: the oracle runs a deterministic add/drop log over each
+   instance, re-solving after every edit, so the instance stays a bit
+   smaller than [identical_large] while keeping the windows tight
+   enough that edits flip feasibility and reshape the forbidden regions
+   mid-log.  An eighth of the instances sit just above the fold-kernel
+   constant; the reference's cubic check after every edit makes them
+   most of the class's run time. *)
 let identical_churn g =
-  let n = 2 + Prng.int g 22 in
+  let n, window =
+    if Prng.int g 8 = 0 then above_fold_kernel g else (2 + Prng.int g 22, 1 + Prng.int g 6)
+  in
   let m = 1 + Prng.int g 3 in
-  let window = 1 + Prng.int g 6 in
   let tau = Prng.rat_uniform g ~den:2 (Rat.make 1 2) (Rat.of_int 2) in
   tighten g (Feasible_gen.identical_length g ~n ~m ~tau ~window)
 

@@ -282,13 +282,15 @@ let run_eedf_fast fs =
       | _ -> (
           match schedule_verdict () with Bug _ as b -> b | _ -> ablation_verdict ()))
 
-(* Incremental-vs-scratch differential: replay a deterministic add/drop
-   churn log over the instance's EEDF reduction and require the warm
-   {!E2e_core.Single_machine.Inc} state to agree with a from-scratch
-   solve after {e every} edit — regions, start times and feasibility
-   verdicts, all under exact rational equality.  The edit positions are
-   a fixed function of the log length, so a failing trial replays from
-   its seed alone. *)
+(* Edited-state differential: replay a deterministic add/drop churn log
+   over the instance's EEDF reduction and require the
+   {!E2e_core.Single_machine.Inc} state to agree with the scan-based
+   {!Single_machine_ref} after {e every} edit — regions, start times and
+   feasibility verdicts, all under exact rational equality.  The
+   reference shares no code with the engine, so appends, rebuilds and
+   both packing kernels are checked independently.  The edit positions
+   are a fixed function of the log length, so a failing trial replays
+   from its seed alone. *)
 let rec insert_at i x l =
   match l with
   | l when i = 0 -> x :: l
@@ -316,48 +318,60 @@ let run_eedf_inc fs =
         Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
           SM.pp_region ppf rs
       in
-      (* The incremental state re-ids jobs to positions, so the scratch
-         mirror must too: EDF tie-breaks read the id. *)
+      (* The state re-ids jobs to positions, so the reference's copy
+         must too: EDF tie-breaks read the id. *)
       let reid mirror =
-        Array.of_list (List.mapi (fun i (j : SM.job) -> { j with SM.id = i }) mirror)
+        Array.of_list
+          (List.mapi
+             (fun i (j : SM.job) ->
+               { Single_machine_ref.id = i; release = j.release; deadline = j.deadline })
+             mirror)
+      in
+      let pp_ref_regions ppf rs =
+        Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
+          (fun ppf (r : Single_machine_ref.region) ->
+            Format.fprintf ppf "(%s, %s)" (Rat.to_string r.left) (Rat.to_string r.right))
+          ppf rs
       in
       let check ~step st mirror =
         let jobs = reid mirror in
         let regions_verdict =
-          match (SM.Inc.regions st, SM.forbidden_regions ~tau jobs) with
+          match (SM.Inc.regions st, Single_machine_ref.forbidden_regions ~tau jobs) with
           | Error `Infeasible, Error `Infeasible -> Agree
           | Ok inc, Ok scr ->
               let same =
                 List.length inc = List.length scr
                 && List.for_all2
-                     (fun (a : SM.region) (b : SM.region) ->
+                     (fun (a : SM.region) (b : Single_machine_ref.region) ->
                        Rat.equal a.left b.left && Rat.equal a.right b.right)
                      inc scr
               in
               if same then Agree
               else
-                bug Divergence "%s: forbidden regions differ: inc [%a] vs scratch [%a]" step
-                  pp_regions inc pp_regions scr
+                bug Divergence "%s: forbidden regions differ: inc [%a] vs ref [%a]" step
+                  pp_regions inc pp_ref_regions scr
           | Ok _, Error `Infeasible ->
-              bug Divergence "%s: incremental built regions where scratch proves infeasible" step
+              bug Divergence "%s: edited state built regions where the reference proves infeasible"
+                step
           | Error `Infeasible, Ok _ ->
-              bug Divergence "%s: incremental claims infeasible; scratch builds regions" step
+              bug Divergence "%s: edited state claims infeasible; the reference builds regions"
+                step
         in
         match regions_verdict with
         | Bug _ as b -> b
         | _ -> (
-            match (SM.Inc.solve st, SM.schedule ~tau jobs) with
+            match (SM.Inc.solve st, Single_machine_ref.schedule ~tau jobs) with
             | Error `Infeasible, Error `Infeasible -> Agree
             | Ok inc, Ok scr ->
                 if Array.length inc = Array.length scr && Array.for_all2 Rat.equal inc scr then
                   Agree
                 else
-                  bug Divergence "%s: schedules differ: inc [%a] vs scratch [%a]" step pp_rats
-                    inc pp_rats scr
+                  bug Divergence "%s: schedules differ: inc [%a] vs ref [%a]" step pp_rats inc
+                    pp_rats scr
             | Ok _, Error `Infeasible ->
-                bug Divergence "%s: incremental schedules an instance scratch rejects" step
+                bug Divergence "%s: edited state schedules an instance the reference rejects" step
             | Error `Infeasible, Ok _ ->
-                bug Divergence "%s: incremental rejects an instance scratch schedules" step)
+                bug Divergence "%s: edited state rejects an instance the reference schedules" step)
       in
       let exception Found of outcome in
       let guard step st mirror =
@@ -381,7 +395,7 @@ let run_eedf_inc fs =
             test's bounds met exactly (d0 - tau = max deadline,
             d0 - 2 tau = r0) or missed by a quarter unit, and with r0
             equal to the max release: both the append path and its
-            re-sweep fallback run, and the drops below then unwind the
+            rebuild fallback run, and the drops below then unwind the
             mixed history. *)
          let quarter = Rat.make 1 4 in
          List.iteri
@@ -425,8 +439,8 @@ let run_eedf_inc fs =
            incr step;
            guard (Printf.sprintf "drop#%d@%d" !step at) !st !mirror
          done;
-         (* Add after drop exercises checkpoint reuse on a state whose
-            history mixes both edit kinds. *)
+         (* Add after drop on a state whose history mixes both edit
+            kinds and both kernels. *)
          List.iteri
            (fun i (j : SM.job) ->
              let at = ((i * 17) + 3) mod (List.length !mirror + 1) in

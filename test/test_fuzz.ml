@@ -39,6 +39,8 @@ let test_stream_codes_distinct () =
 (* {1 Generator guards} *)
 
 let test_gen_guards () =
+  let kernel = E2e_core.Single_machine.Inc.fold_max_jobs in
+  let above = Hashtbl.create 2 in
   List.iter
     (fun cls ->
       for trial = 0 to 40 do
@@ -67,26 +69,35 @@ let test_gen_guards () =
             Alcotest.(check bool) "eedf-fast: traditional" true
               (Visit.is_traditional shop.Recurrence_shop.visit);
             Alcotest.(check bool) "eedf-fast: tasks within generator bound" true
-              (n >= 1 && n <= 41);
+              (n >= 1 && n <= max 40 (kernel + 8));
+            if n > kernel then Hashtbl.replace above cls ();
             Alcotest.(check bool) "eedf-fast: identical length" true
               (Flow_shop.is_identical_length
                  (Flow_shop.make ~processors:k shop.Recurrence_shop.tasks)
               <> None)
         | Gen.Eedf_inc ->
-            (* Incremental differential: the churn oracle re-solves from
-               scratch after every edit, so the generator stays a notch
-               below eedf-fast in size. *)
+            (* Edited-state differential: the churn oracle re-solves
+               with the reference after every edit, so the generator
+               stays a notch below eedf-fast in size. *)
             Alcotest.(check bool) "eedf-inc: traditional" true
               (Visit.is_traditional shop.Recurrence_shop.visit);
             Alcotest.(check bool) "eedf-inc: tasks within generator bound" true
-              (n >= 2 && n <= 23);
+              (n >= 2 && n <= max 23 (kernel + 8));
+            if n > kernel then Hashtbl.replace above cls ();
             Alcotest.(check bool) "eedf-inc: identical length" true
               (Flow_shop.is_identical_length
                  (Flow_shop.make ~processors:k shop.Recurrence_shop.tasks)
               <> None));
         ()
       done)
-    Gen.all
+    Gen.all;
+  (* Both single-machine differential classes reach the segment-tree
+     kernel. *)
+  List.iter
+    (fun cls ->
+      Alcotest.(check bool) (Gen.name cls ^ ": draws above the fold-kernel constant") true
+        (Hashtbl.mem above cls))
+    [ Gen.Eedf_fast; Gen.Eedf_inc ]
 
 (* {1 Oracle classification} *)
 

@@ -2,6 +2,7 @@ module Rat = E2e_rat.Rat
 module Sm = E2e_core.Single_machine
 module Prng = E2e_prng.Prng
 module Obs = E2e_obs.Obs
+module Ref = E2e_fuzz.Single_machine_ref
 open Helpers
 
 let job id release deadline = { Sm.id; release; deadline }
@@ -126,35 +127,78 @@ let prop_regions_disjoint_sorted =
           in
           ok regions)
 
+(* {1 Engine vs the scan-based reference} *)
+
+let to_ref jobs =
+  Array.map (fun (j : Sm.job) -> { Ref.id = j.id; release = j.release; deadline = j.deadline }) jobs
+
+let same_regions (a : Sm.region list) (b : Ref.region list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Sm.region) (y : Ref.region) -> Rat.equal x.left y.left && Rat.equal x.right y.right)
+       a b
+
+let same_starts a b = Array.length a = Array.length b && Array.for_all2 Rat.equal a b
+
+(* Engine results for [jobs] (ids = positions) against the reference's
+   solve of the same jobs. *)
+let against_ref ~what ~tau ~regions ~starts jobs =
+  let jobs = to_ref jobs in
+  (match (regions, Ref.forbidden_regions ~tau jobs) with
+  | Error `Infeasible, Error `Infeasible -> ()
+  | Ok a, Ok b -> Alcotest.(check bool) (what ^ ": regions agree") true (same_regions a b)
+  | _ -> Alcotest.failf "%s: region verdicts disagree" what);
+  match (starts, Ref.schedule ~tau jobs) with
+  | Error `Infeasible, Error `Infeasible -> ()
+  | Ok a, Ok b -> Alcotest.(check bool) (what ^ ": schedules agree") true (same_starts a b)
+  | _ -> Alcotest.failf "%s: schedule verdicts disagree" what
+
+(* [schedule] and [forbidden_regions] against the reference:
+   [`Regions] when feasible with at least one region, [`Plain] when
+   feasible without one, [`Infeasible] otherwise. *)
+let check_against_ref ~what ~tau jobs =
+  let regions = Sm.forbidden_regions ~tau jobs and starts = Sm.schedule ~tau jobs in
+  against_ref ~what ~tau ~regions ~starts jobs;
+  match (regions, starts) with
+  | _, Error `Infeasible -> `Infeasible
+  | Ok [], Ok _ -> `Plain
+  | _ -> `Regions
+
+(* Each side of the job count that switches the packing pass from the
+   fold to the segment tree, on quarter-unit releases dense enough that
+   instances range from region-heavy to infeasible. *)
+let test_kernel_boundary () =
+  let k = Sm.Inc.fold_max_jobs in
+  let tau = r 1 in
+  let seen = Hashtbl.create 3 in
+  List.iter
+    (fun n ->
+      for seed = 0 to 19 do
+        let g = Prng.create ((1000 * n) + seed) in
+        let span = Rat.make (n * (3 + (seed mod 3))) 4 in
+        let jobs =
+          Array.init n (fun id ->
+              let release = Prng.rat_uniform g ~den:4 Rat.zero span in
+              let window = Prng.rat_uniform g ~den:4 (r 1) (r (2 + (seed mod 6))) in
+              { Sm.id; release; deadline = Rat.add release window })
+        in
+        let kind = check_against_ref ~what:(Printf.sprintf "n=%d seed %d" n seed) ~tau jobs in
+        Hashtbl.replace seen kind ()
+      done)
+    [ k - 1; k; k + 1; k + 2 ];
+  List.iter
+    (fun (kind, name) -> Alcotest.(check bool) ("some instance is " ^ name) true (Hashtbl.mem seen kind))
+    [ (`Regions, "feasible with regions"); (`Infeasible, "infeasible") ]
+
 (* {1 Incremental state} *)
 
-(* The exactness contract: after any edit, the warm state's regions,
-   schedule and verdict must be byte-identical to a from-scratch solve
-   of the same (position-id'd) job set. *)
+(* The exactness contract: after any edit, the state's regions,
+   schedule and verdict must equal the scan-based reference's solve of
+   the same (position-id'd) job set. *)
 let reid jobs = Array.mapi (fun i (j : Sm.job) -> { j with Sm.id = i }) jobs
 
 let agree ~what ~tau st jobs =
-  let jobs = reid jobs in
-  (match (Sm.Inc.regions st, Sm.forbidden_regions ~tau jobs) with
-  | Error `Infeasible, Error `Infeasible -> ()
-  | Ok inc, Ok scr ->
-      Alcotest.(check bool)
-        (what ^ ": regions agree")
-        true
-        (List.length inc = List.length scr
-        && List.for_all2
-             (fun (a : Sm.region) (b : Sm.region) ->
-               Rat.equal a.left b.left && Rat.equal a.right b.right)
-             inc scr)
-  | _ -> Alcotest.failf "%s: regions verdicts disagree" what);
-  match (Sm.Inc.solve st, Sm.schedule ~tau jobs) with
-  | Error `Infeasible, Error `Infeasible -> ()
-  | Ok inc, Ok scr ->
-      Alcotest.(check bool)
-        (what ^ ": schedules agree")
-        true
-        (Array.length inc = Array.length scr && Array.for_all2 Rat.equal inc scr)
-  | _ -> Alcotest.failf "%s: schedule verdicts disagree" what
+  against_ref ~what ~tau ~regions:(Sm.Inc.regions st) ~starts:(Sm.Inc.solve st) (reid jobs)
 
 let test_inc_trap_add_remove () =
   let tau = r 2 in
@@ -211,8 +255,8 @@ let add_path st ~at ~release ~deadline =
 
 (* The append test's boundaries, each from the trap state (tau = 2,
    max release 1, max deadline 10, one forbidden region): bounds met
-   exactly take the append path, a quarter unit short re-sweeps, and
-   every resulting state agrees with scratch, before and after a later
+   exactly take the append path, a quarter unit short rebuilds, and
+   every resulting state agrees with the reference, before and after a later
    drop of the new job and of a resident one. *)
 let test_inc_append_boundaries () =
   let tau = r 2 and q = Rat.make 1 4 in
@@ -252,8 +296,23 @@ let test_inc_append_boundaries () =
     st := st'
   done
 
+(* An in-horizon add rebuilds the state; the rebuilt state must still
+   take the append path for a later past-horizon arrival.  The trap
+   state (tau = 2, one forbidden region) gains a job inside its horizon,
+   then one past it. *)
+let test_inc_rebuild_then_append () =
+  let tau = r 2 in
+  let st = Sm.Inc.make ~tau (trap_instance ()) in
+  let st', path = add_path st ~at:1 ~release:(q "0.5") ~deadline:(r 9) in
+  Alcotest.(check bool) "in-horizon add rebuilds" true (path = `Resweep);
+  agree ~what:"after the rebuild" ~tau st' (Sm.Inc.jobs st');
+  let st'', path = add_path st' ~at:3 ~release:(r 9) ~deadline:(r 13) in
+  Alcotest.(check bool) "past-horizon arrival appends" true (path = `Append);
+  Alcotest.(check int) "four jobs" 4 (Sm.Inc.n_jobs st'');
+  agree ~what:"after the append" ~tau st'' (Sm.Inc.jobs st'')
+
 (* Random churn property: a chain of adds then drops, checked against
-   from-scratch at every step (the unit-test-sized sibling of the
+   the reference at every step (the unit-test-sized sibling of the
    eedf-inc fuzz class). *)
 let prop_inc_matches_scratch =
   QCheck.Test.make ~name:"single machine: incremental matches from-scratch under churn"
@@ -267,7 +326,7 @@ let prop_inc_matches_scratch =
       let st = ref (Sm.Inc.make ~tau [| jobs.(0) |]) in
       let check what =
         let jobs = Sm.Inc.jobs !st in
-        let scratch = Sm.schedule ~tau (reid jobs) in
+        let scratch = Ref.schedule ~tau (to_ref (reid jobs)) in
         match (Sm.Inc.solve !st, scratch) with
         | Error `Infeasible, Error `Infeasible -> ()
         | Ok a, Ok b when Array.length a = Array.length b && Array.for_all2 Rat.equal a b ->
@@ -301,4 +360,6 @@ let suite =
     to_alcotest prop_plain_edf_never_beats_exact;
     to_alcotest prop_regions_disjoint_sorted;
     to_alcotest prop_inc_matches_scratch;
+    Alcotest.test_case "incremental: rebuild then append" `Quick test_inc_rebuild_then_append;
+    Alcotest.test_case "fold/tree kernel boundary vs reference" `Quick test_kernel_boundary;
   ]
