@@ -187,8 +187,8 @@ trace-smoke:
 # Short differential-fuzzing campaign over every model class (including
 # eedf-fast, which pits the indexed single-machine engine against the
 # retained scan-based reference on larger instances, eedf-inc, which
-# replays add/drop churn logs through the engine's edited state and
-# re-solves with the reference after every edit, and codec, which pits the
+# grows shops through the warm solver handle and re-solves with the
+# reference after every extension, and codec, which pits the
 # protocol's single-pass scanner and buffer renderer against the
 # retained Format/Printf reference codec): each solver
 # against its oracle and the independent checker, on a fixed seed, run
@@ -201,10 +201,10 @@ fuzz-smoke:
 	dune exec bin/fuzz.exe -- --class all --trials 300 --seed 42 -j 4 > $(FUZZ_B)
 	cmp $(FUZZ_A) $(FUZZ_B)
 
-# Deep campaign on the edited-state differential alone: every trial
-# replays a deterministic add/drop churn log over one instance,
-# comparing regions, schedules and feasibility verdicts after every
-# edit with the scan-based reference (they must agree exactly).
+# Deep campaign on the warm-handle differential alone: every trial
+# grows a shop from one instance by deterministic extensions, comparing
+# regions, schedules and feasibility verdicts after every extension
+# with the scan-based reference (they must agree exactly).
 fuzz-inc:
 	dune exec bin/fuzz.exe -- --class eedf-inc --trials 2000 --seed 7 -j 4
 

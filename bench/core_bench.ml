@@ -132,16 +132,15 @@ let serve_case n =
       (fun t req -> fst (Admission.apply ~cache ~keyer t req))
       Admission.empty log
 
-(* {1 Incremental churn workloads}
+(* {1 Incremental workloads}
 
-   A resident identical-length shop solved once into a warm
-   {!SM.Inc} state; the timed body is a single-task edit plus re-solve.
-   States are persistent, so every call starts from the same resident
-   handle — no drift across trials.  The churn model is the serve
-   pattern: fresh tasks arrive with releases near the committed horizon
-   and cancellations hit recent arrivals.  Such an in-horizon add or a
-   drop rebuilds the state, so [inc_add]/[inc_drop] measure a rebuild;
-   only a past-horizon arrival ([inc_append]) takes the append path. *)
+   A resident identical-length shop solved once into a warm {!SM.Inc}
+   state.  States are persistent, so every call starts from the same
+   resident handle — no drift across trials.  [inc_append] times a
+   past-horizon arrival, the one edit the warm state takes exactly;
+   [inc_make] times the rebuild every other edit is: a scratch
+   [Inc.make] of the resident set plus one task arriving near the
+   committed horizon, the serve pattern. *)
 let inc_setup n =
   let g = Prng.create (5000 + n) in
   let fs = Gen.identical_length g ~n ~m:4 ~tau:Rat.one ~window:(2 * n) in
@@ -152,14 +151,6 @@ let inc_setup n =
     Array.init 16 (fun _ ->
         let r = Prng.rat_uniform g ~den:4 lo hi in
         (Prng.int g (n + 1), r, Rat.add r (Rat.of_int (4 + Prng.int g 8))))
-  in
-  (* Drop positions among the latest-release quarter of the resident
-     jobs (recent arrivals). *)
-  let by_release = Array.mapi (fun i (j : SM.job) -> (j.release, i)) jobs in
-  Array.sort compare by_release;
-  let tail = Stdlib.max 1 (n / 4) in
-  let drops =
-    Array.init 16 (fun _ -> snd by_release.(n - 1 - Prng.int g tail))
   in
   (* Past-horizon arrivals, the serving pattern: each release above
      every resident release, each deadline at least tau above every
@@ -172,33 +163,18 @@ let inc_setup n =
         let d = Rat.max (Rat.add d_max Rat.one) (Rat.add r (Rat.of_int 2)) in
         (r, Rat.add d (Rat.of_int (Prng.int g 8))))
   in
-  (st, jobs, deltas, drops, arrivals)
+  (st, jobs, deltas, arrivals)
 
-let inc_add_case (st, _, deltas, _, _) =
-  let i = ref 0 in
-  fun () ->
-    let at, r, d = deltas.(!i mod 16) in
-    incr i;
-    SM.Inc.solve (SM.Inc.add_task st ~at ~release:r ~deadline:d)
-
-let inc_drop_case (st, _, _, drops, _) =
-  let i = ref 0 in
-  fun () ->
-    let at = drops.(!i mod 16) in
-    incr i;
-    SM.Inc.solve (SM.Inc.remove_task st ~at)
-
-let inc_append_case (st, _, _, _, arrivals) =
+let inc_append_case (st, _, _, arrivals) =
   let i = ref 0 in
   fun () ->
     let r, d = arrivals.(!i mod 16) in
     incr i;
-    SM.Inc.solve (SM.Inc.add_task st ~at:(SM.Inc.n_jobs st) ~release:r ~deadline:d)
+    match SM.Inc.append st ~release:r ~deadline:d with
+    | Some st -> SM.Inc.solve st
+    | None -> failwith "inc_append: arrival is not past the horizon"
 
-(* The cost the warm path avoids: a scratch [Inc.make] of the
-   one-task-edited job set of [inc_add], what a serving path without a
-   warm handle runs. *)
-let inc_make_case (_, jobs, deltas, _, _) =
+let inc_make_case (_, jobs, deltas, _) =
   let n = Array.length jobs in
   let edited (at, r, d) =
     Array.init (n + 1) (fun k ->
@@ -213,7 +189,7 @@ let inc_make_case (_, jobs, deltas, _, _) =
     SM.Inc.solve (SM.Inc.make ~tau:Rat.one (edited delta))
 
 (* End-to-end admission cost of one [Add] on a resident shop: the warm
-   engine holds the committed solve's [Machine] handle (the O(delta)
+   engine holds the committed solve's [Machine] handle (the warm
    path), the cold engine holds the same committed shop with the handle
    stripped, so the identical request takes the full-solve path. *)
 let serve_inc_setup n =
@@ -285,12 +261,10 @@ let run_all ~small =
       push (case "algo_a" n (algo_a_case n));
       push (case "algo_h" n (algo_h_case n));
       push (case "serve_admission" n (serve_case n));
-      (* Incremental churn: the rebuild rows repeat a full solve per
-         call, so the largest size runs with trimmed repetitions. *)
+      (* The rebuild rows repeat a full solve per call, so the largest
+         size runs with trimmed repetitions. *)
       let inc = inc_setup n in
       let warmup, trials = if n > 1000 then (1, 3) else (def_warmup, def_trials) in
-      push (case ~warmup ~trials "inc_add" n (inc_add_case inc));
-      push (case ~warmup ~trials "inc_drop" n (inc_drop_case inc));
       push (case ~warmup ~trials "inc_append" n (inc_append_case inc));
       push (case ~warmup ~trials "inc_make" n (inc_make_case inc));
       let warm, cold, adds = serve_inc_setup n in
@@ -299,23 +273,16 @@ let run_all ~small =
     sizes;
   (List.rev !rows, sizes, ref_cap)
 
-let speedups rows =
-  List.filter_map
-    (fun { family; n; mean_s; _ } ->
-      if family <> "eedf_ref" then None
-      else
-        List.find_map
-          (fun r ->
-            if r.family = "eedf" && r.n = n && r.mean_s > 0. then
-              Some (n, mean_s /. r.mean_s)
-            else None)
-          rows)
-    rows
+(* Per size, the mean time of a [slow] family over a [fast] one: the
+   scan-based reference over the indexed engine, and a from-scratch
+   solve of a one-task-edited set over the warm past-horizon append. *)
+let ratio_keys =
+  [
+    ("speedup_eedf_vs_ref", "eedf_ref", "eedf");
+    ("speedup_append_vs_make", "inc_make", "inc_append");
+  ]
 
-(* Warm single-task edits against a from-scratch solve ([base]) of the
-   same edited set; the reported ratio is against the slowest of the
-   [warm] families. *)
-let inc_speedups ~base ~warm rows =
+let ratios ~slow ~fast rows =
   let mean family n =
     List.find_map
       (fun r -> if r.family = family && r.n = n && r.mean_s > 0. then Some r.mean_s else None)
@@ -323,18 +290,8 @@ let inc_speedups ~base ~warm rows =
   in
   List.filter_map
     (fun { family; n; mean_s; _ } ->
-      if family <> base || mean_s <= 0. then None
-      else
-        let times = List.filter_map (fun f -> mean f n) warm in
-        if List.length times < List.length warm then None
-        else Some (n, mean_s /. List.fold_left Float.max 0. times))
+      if family <> slow then None else Option.map (fun t -> (n, mean_s /. t)) (mean fast n))
     rows
-
-let inc_ratio_keys =
-  [
-    ("speedup_inc_vs_make", "inc_make", [ "inc_add"; "inc_drop" ]);
-    ("speedup_append_vs_make", "inc_make", [ "inc_append" ]);
-  ]
 
 let json_of rows sizes ref_cap ~small =
   let buf = Buffer.create 1024 in
@@ -351,21 +308,15 @@ let json_of rows sizes ref_cap ~small =
            "{\"family\":\"%s\",\"n\":%d,\"mean_us\":%.3f,\"trials\":%d,\"reps\":%d}"
            family n (mean_s *. 1e6) trials reps))
     rows;
-  Buffer.add_string buf "],\"speedup_eedf_vs_ref\":[";
-  List.iteri
-    (fun i (n, ratio) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "{\"n\":%d,\"ratio\":%.2f}" n ratio))
-    (speedups rows);
   List.iter
-    (fun (key, base, warm) ->
+    (fun (key, slow, fast) ->
       Buffer.add_string buf (Printf.sprintf "],\"%s\":[" key);
       List.iteri
         (fun i (n, ratio) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf (Printf.sprintf "{\"n\":%d,\"ratio\":%.2f}" n ratio))
-        (inc_speedups ~base ~warm rows))
-    inc_ratio_keys;
+        (ratios ~slow ~fast rows))
+    ratio_keys;
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
@@ -394,12 +345,9 @@ let () =
       Out_channel.output_string oc json;
       Out_channel.output_char oc '\n');
   List.iter
-    (fun (n, ratio) -> Printf.printf "EEDF speedup vs reference at n=%d: %.1fx\n" n ratio)
-    (speedups rows);
-  List.iter
-    (fun (key, base, warm) ->
+    (fun (key, slow, fast) ->
       List.iter
         (fun (n, ratio) -> Printf.printf "%s at n=%d: %.1fx\n" key n ratio)
-        (inc_speedups ~base ~warm rows))
-    inc_ratio_keys;
+        (ratios ~slow ~fast rows))
+    ratio_keys;
   Printf.printf "wrote %s\n" !out

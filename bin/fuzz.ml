@@ -37,7 +37,7 @@ let classes_arg =
     "Model class to fuzz: $(b,eedf) (identical-length flow shops), $(b,r) (single-loop \
      recurrence shops), $(b,a) (homogeneous sets), $(b,h) (arbitrary sets), $(b,eedf-fast) \
      (indexed single-machine engine vs the retained scan-based reference, large instances), \
-     $(b,eedf-inc) (incremental add/drop re-solves vs from-scratch after every edit), \
+     $(b,eedf-inc) (warm extensions of growing shops vs from-scratch after every extension), \
      $(b,serve) (admission-service request logs, batched-and-cached vs sequential \
      reference), $(b,codec) (protocol scanner and renderer vs the reference codec, on random \
      outcomes and random or byte-mutated request lines), or $(b,all)."

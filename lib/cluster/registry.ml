@@ -36,33 +36,7 @@ type t = {
   mutable revivals : int;
 }
 
-(* FNV-1a with a murmur3-style finalizer, folded into OCaml's positive
-   int range.  Plain FNV-1a has weak avalanche on the trailing bytes,
-   and our inputs ("host:port#k") share long prefixes and differ only
-   in final digits — without the finalizer every vnode of a shard
-   lands on one contiguous arc of the ring and one shard absorbs
-   nearly all shops.  Deterministic across runs and platforms (64-bit
-   int assumed, as everywhere in this codebase). *)
-let fnv_basis = Int64.to_int 0xcbf29ce484222325L (* truncated to 63 bits *)
-let mix_m1 = Int64.to_int 0xff51afd7ed558ccdL
-let mix_m2 = Int64.to_int 0xc4ceb9fe1a85ec53L
-
-let mix h =
-  let h = h lxor (h lsr 33) in
-  let h = h * mix_m1 in
-  let h = h lxor (h lsr 33) in
-  let h = h * mix_m2 in
-  let h = h lxor (h lsr 33) in
-  h land max_int
-
-let fnv1a s =
-  let h = ref fnv_basis in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3)
-    s;
-  mix !h
+let fnv1a = E2e_serve.Stripes.fnv1a
 
 let parse_id id =
   match String.rindex_opt id ':' with

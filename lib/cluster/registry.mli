@@ -32,12 +32,6 @@ type entry = private {
 
 type t
 
-val fnv1a : string -> int
-(** The ring hash (FNV-1a with a murmur3-style finalizer, folded into
-    the positive int range) — exposed for tests.  The finalizer
-    matters: ring inputs share long prefixes and plain FNV-1a would
-    cluster them on one arc. *)
-
 val parse_id : string -> (string * int) option
 (** Parse ["host:port"]; [None] on malformed input. *)
 

@@ -74,7 +74,7 @@ let pp_region ppf r = Format.fprintf ppf "(%a, %a)" Rat.pp r.left Rat.pp r.right
    Appends: a job appended past the horizon — above every release, and
    with a deadline far enough above every deadline — is proved not to
    touch any resident pass ([Inc.append]), so it keeps the region set
-   and only extends the dispatch.  Every other edit rebuilds. *)
+   and only extends the dispatch.  Every other edit is an [Inc.make]. *)
 
 module Inc = struct
   module Iset = Interval_set
@@ -499,9 +499,9 @@ module Inc = struct
     build ~tau (Array.mapi (fun i j -> { j with id = i }) jobs)
 
   (* Past-horizon arrival: a job (r0, d0) appended at position n onto a
-     feasible state, where r0 is strictly above every resident release,
-     d0 - tau >= every resident deadline and d0 - 2 tau >= r0.  Such an
-     edit leaves every resident pass alone:
+     state with a region set, where r0 is strictly above every resident
+     release, d0 - tau >= every resident deadline and d0 - 2 tau >= r0.
+     Such an edit leaves every resident pass alone:
 
      1. The new job's own pass (the highest release) sees only itself,
         so s = d0 - tau >= r0 + tau: no region, no infeasibility.
@@ -516,7 +516,7 @@ module Inc = struct
 
      Hence the region set survives and the dispatch resumes from the
      whole old order.  [None] when the test fails. *)
-  let append st (jobs : job array) ~release ~deadline =
+  let append st ~release ~deadline =
     match st.solved with
     | None -> None
     | Some (regions, disp) ->
@@ -527,35 +527,13 @@ module Inc = struct
           && Array.for_all
                (fun (j : job) -> Rat.(release > j.release) && Rat.(top >= j.deadline))
                st.jobs
-        then
+        then begin
+          Obs.incr "eedf.inc_append";
+          let jobs = Array.append st.jobs [| { id = Array.length st.jobs; release; deadline } |] in
           let disp = dispatch_from ~tau ~advance:(Iset.adjust_up regions) jobs disp in
           Some { st with jobs; solved = Some (regions, disp) }
+        end
         else None
-
-  let add_task st ~at ~release ~deadline =
-    let n = Array.length st.jobs in
-    if at < 0 || at > n then invalid_arg "Single_machine.Inc.add_task: position out of range";
-    let jobs =
-      Array.init (n + 1) (fun i ->
-          if i < at then st.jobs.(i)
-          else if i = at then { id = i; release; deadline }
-          else { (st.jobs.(i - 1)) with id = i })
-    in
-    match if at = n then append st jobs ~release ~deadline else None with
-    | Some st' ->
-        Obs.incr "eedf.inc_append";
-        st'
-    | None ->
-        Obs.incr "eedf.inc_resweep";
-        build ~tau:st.tau jobs
-
-  let remove_task st ~at =
-    let n = Array.length st.jobs in
-    if at < 0 || at >= n then
-      invalid_arg "Single_machine.Inc.remove_task: position out of range";
-    build ~tau:st.tau
-      (Array.init (n - 1) (fun i ->
-           if i < at then st.jobs.(i) else { (st.jobs.(i + 1)) with id = i }))
 
   let solve st =
     match st.solved with

@@ -70,46 +70,37 @@ val brute_force_feasible : tau:rat -> job array -> bool
     on small instances only. *)
 
 (** The solved state: the job set, its forbidden-region set and its
-    EDF dispatch order, persistent under single-task edits.
+    EDF dispatch order.
 
-    {!Inc.make} solves from scratch.  {!Inc.add_task} of a past-horizon
-    arrival keeps the region set (provably unchanged) and only extends
-    the dispatch from the committed order; every other
-    {!Inc.add_task} and every {!Inc.remove_task} rebuilds the state
-    with {!Inc.make}.  Either way the result equals a from-scratch
+    {!Inc.make} solves from scratch; {!Inc.append} adds a past-horizon
+    arrival exactly, keeping the region set (provably unchanged) and
+    only extending the dispatch from the committed order.  Every other
+    edit is a new {!Inc.make}.  An appended state equals a from-scratch
     solve of the same job array: same regions, same start times, same
     feasibility verdicts, byte for byte.  The [eedf-inc] differential
-    fuzz class checks this against the scan-based reference on random
-    add/drop logs. *)
+    fuzz class checks this, through {!Solver.Incremental.extend},
+    against the scan-based reference on growing shops. *)
 module Inc : sig
   type state
 
   val make : tau:rat -> job array -> state
   (** Solve from scratch and retain the warm-start state.  Job ids are
-      re-assigned to positions ([0..n-1] in input order); all position
-      arguments below refer to this dense indexing.
+      re-assigned to positions ([0..n-1] in input order).
       @raise Invalid_argument when [tau <= 0]. *)
 
   val solve : state -> (rat array, [ `Infeasible ]) result
   (** The current schedule (start times by position).  O(1): solving
-      happened at construction / edit time. *)
+      happened at construction / append time. *)
 
-  val add_task : state -> at:int -> release:rat -> deadline:rat -> state
-  (** New state with a job inserted at position [at] (positions at or
-      after [at] shift up).  The input state remains valid.  A
-      past-horizon arrival — [at = n_jobs] on a feasible state, [release]
-      above every resident release, [deadline - tau] at or above every
-      resident deadline and [deadline - 2 tau >= release] — keeps every
-      resident region pass and only extends the dispatch (counter
-      [eedf.inc_append]); any other insertion rebuilds the state
-      ([eedf.inc_resweep]).
-      @raise Invalid_argument when [at] is outside [0..n_jobs]. *)
-
-  val remove_task : state -> at:int -> state
-  (** New state with the job at position [at] removed (positions after
-      [at] shift down), rebuilt from scratch.  The input state remains
-      valid.
-      @raise Invalid_argument when [at] is outside [0..n_jobs-1]. *)
+  val append : state -> release:rat -> deadline:rat -> state option
+  (** The state with a job added at position [n_jobs], when it is a
+      past-horizon arrival: the state has a region set (no pass proved
+      infeasibility), [release] is above every resident release,
+      [deadline - tau] is at or above every resident deadline and
+      [deadline - 2 tau >= release].  Such a job leaves every resident
+      region pass unchanged, so only the dispatch is extended (counter
+      [eedf.inc_append]).  [None] when the test fails; the caller then
+      rebuilds with {!make}.  The input state remains valid. *)
 
   val regions : state -> (region list, [ `Infeasible ]) result
   (** Current forbidden regions, sorted by left endpoint. *)

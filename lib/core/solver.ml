@@ -62,72 +62,58 @@ let solve shop =
 
    A resident handle onto the identical-length (EEDF) solve of one flow
    shop: the reduced single-machine instance is kept as a
-   {!Single_machine.Inc.state}, and a superset shop obtained by admitting
-   more tasks is re-solved by [add_task] (an append when the task lands
-   past the horizon, a rebuild otherwise).  The verdicts are
-   byte-identical to {!solve} on the same shop — [Single_machine.schedule]
-   reads the same engine, and every edited state equals a from-scratch
-   solve (the [eedf-inc] fuzz contract) — so callers may freely mix this
-   path with cold solves. *)
+   {!Single_machine.Inc.state}.  A grown shop is re-solved by appending
+   its past-horizon tail exactly, or else by one rebuild.  The verdicts
+   are byte-identical to {!solve} on the same shop —
+   [Single_machine.schedule] reads the same engine, and every appended
+   state equals a from-scratch solve (the [eedf-inc] fuzz contract) —
+   so callers may freely mix this path with cold solves. *)
 module Incremental = struct
-  type t = { tau : E2e_rat.Rat.t; m : int; inc : Single_machine.Inc.state }
+  module Inc = Single_machine.Inc
 
-  let of_flow_shop (shop : Flow_shop.t) =
-    match Flow_shop.is_identical_length shop with
-    | None -> None
-    | Some tau ->
-        let jobs = Eedf.single_machine_jobs shop ~tau in
-        Some { tau; m = shop.processors; inc = Single_machine.Inc.make ~tau jobs }
+  type t = { tau : E2e_rat.Rat.t; m : int; inc : Inc.state }
 
-  let resident t = Single_machine.Inc.n_jobs t.inc
+  let resident t = Inc.n_jobs t.inc
+  let state t = t.inc
 
   let verdict t (shop : Flow_shop.t) =
     record_verdict
-      (match Single_machine.Inc.solve t.inc with
+      (match Inc.solve t.inc with
       | Error `Infeasible -> Proved_infeasible `Eedf
       | Ok starts -> Feasible (Eedf.propagate shop ~tau:t.tau starts, `Eedf))
 
-  (* Grow the resident state to [shop], a shop whose job list contains
-     the resident jobs as a subsequence (the admission cache's stable
-     merge guarantees exactly this for committed + fresh tasks).  Jobs
-     are matched on the reduced-instance key (release, effective
-     deadline): equal jobs are interchangeable for the single-machine
-     solve, so greedy earliest-match subsequence testing is exact.
-     [None] when [shop] is not an extension (different tau / processors,
-     or the resident jobs are not a subsequence) — caller falls back to
-     a cold solve. *)
+  (* When the resident jobs are a prefix of [shop]'s (on the reduced key:
+     release and effective deadline), fold [Inc.append] over the tail; when
+     they are not, or some tail job is not a past-horizon arrival,
+     rebuild once.  The admission cache's canonical order sorts tasks by
+     release, so a past-horizon task always lands in the tail. *)
   let extend t (shop : Flow_shop.t) =
     match Flow_shop.is_identical_length shop with
     | Some tau when E2e_rat.Rat.equal tau t.tau && shop.processors = t.m ->
-        let new_jobs = Eedf.single_machine_jobs shop ~tau in
-        let old_jobs = Single_machine.Inc.jobs t.inc in
-        let n_new = Array.length new_jobs and n_old = Array.length old_jobs in
-        if n_new < n_old then None
-        else begin
-          let same (a : Single_machine.job) (b : Single_machine.job) =
-            E2e_rat.Rat.equal a.release b.release
-            && E2e_rat.Rat.equal a.deadline b.deadline
-          in
-          let fresh = ref [] in
-          let oi = ref 0 in
-          Array.iteri
-            (fun ni j ->
-              if !oi < n_old && same old_jobs.(!oi) j then incr oi
-              else fresh := ni :: !fresh)
-            new_jobs;
-          if !oi < n_old then None
-          else begin
-            let inc =
-              List.fold_left
-                (fun inc ni ->
-                  let j = new_jobs.(ni) in
-                  Single_machine.Inc.add_task inc ~at:ni ~release:j.release
-                    ~deadline:j.deadline)
-                t.inc (List.rev !fresh)
-            in
-            Some { t with inc }
-          end
-        end
+        let jobs = Eedf.single_machine_jobs shop ~tau in
+        let resident = Inc.jobs t.inc in
+        let n = Array.length resident and n' = Array.length jobs in
+        let rec is_prefix i =
+          i = n
+          || E2e_rat.Rat.equal resident.(i).release jobs.(i).release
+             && E2e_rat.Rat.equal resident.(i).deadline jobs.(i).deadline
+             && is_prefix (i + 1)
+        in
+        let rec append_tail inc i =
+          if i = n' then Some inc
+          else
+            Option.bind
+              (Inc.append inc ~release:jobs.(i).release ~deadline:jobs.(i).deadline)
+              (fun inc -> append_tail inc (i + 1))
+        in
+        let inc =
+          match if n <= n' && is_prefix 0 then append_tail t.inc n else None with
+          | Some inc -> inc
+          | None ->
+              Obs.incr "eedf.inc_resweep";
+              Inc.make ~tau jobs
+        in
+        Some { t with inc }
     | _ -> None
 
   let solve_with_state shop =
@@ -139,7 +125,7 @@ module Incremental = struct
         match cls with
         | `Identical_length tau ->
             let jobs = Eedf.single_machine_jobs shop ~tau in
-            let t = { tau; m = shop.processors; inc = Single_machine.Inc.make ~tau jobs } in
+            let t = { tau; m = shop.processors; inc = Inc.make ~tau jobs } in
             let v = verdict t shop in
             let state = match v with Feasible _ -> Some t | _ -> None in
             (v, state)

@@ -18,18 +18,14 @@ val solve : E2e_model.Flow_shop.t -> verdict
 (** Warm-started re-solves for identical-length shops.
 
     A resident handle keeps the reduced single-machine instance as a
-    {!Single_machine.Inc.state}; admitting more tasks re-solves by
-    [add_task]: a task past the horizon only extends the dispatch, any
-    other task rebuilds the state.  All
-    verdicts are byte-identical to {!solve} on the same shop, so cold
-    and warm paths can be mixed freely — the [eedf-inc] differential
-    fuzz class enforces the underlying engine agreement. *)
+    {!Single_machine.Inc.state}.  Growing it does one of two things:
+    append a past-horizon tail exactly ({!Single_machine.Inc.append}),
+    or rebuild once ({!Single_machine.Inc.make}).  All verdicts are
+    byte-identical to {!solve} on the same shop, so cold and warm paths
+    can be mixed freely — the [eedf-inc] differential fuzz class drives
+    {!extend} against the scan-based reference. *)
 module Incremental : sig
   type t
-
-  val of_flow_shop : E2e_model.Flow_shop.t -> t option
-  (** Solve from scratch and retain the warm-start state; [None] when
-      the shop is not identical-length (no incremental capability). *)
 
   val verdict : t -> E2e_model.Flow_shop.t -> verdict
   (** The verdict for the handle's current task set, lifted back to
@@ -37,14 +33,21 @@ module Incremental : sig
       O(n) — the solve happened at construction / extension time. *)
 
   val extend : t -> E2e_model.Flow_shop.t -> t option
-  (** Grow the handle to [shop], whose reduced job list must contain the
-      resident jobs as a subsequence on (release, effective deadline) —
-      what the admission cache's stable merge produces for committed +
-      fresh tasks.  [None] when [shop] is not such an extension (caller
-      falls back to a cold solve).  The input handle remains valid. *)
+  (** The handle for [shop].  When the resident jobs are a prefix of
+      [shop]'s reduced jobs (on release and effective deadline) and
+      every job after them is a past-horizon arrival, the new jobs are
+      appended one by one (counter [eedf.inc_append] each); otherwise
+      the handle is rebuilt with exactly one {!Single_machine.Inc.make}
+      (counter [eedf.inc_resweep]).  [None] only when [shop] changed tau or the
+      processor count, or is not identical-length (caller falls back to
+      a cold solve).  The input handle remains valid. *)
 
   val resident : t -> int
   (** Number of tasks in the resident state. *)
+
+  val state : t -> Single_machine.Inc.state
+  (** The resident single-machine state, which the [eedf-inc] fuzz
+      class compares with the scan-based reference. *)
 
   val solve_with_state : E2e_model.Flow_shop.t -> verdict * t option
   (** Like {!solve}, but additionally returns the warm-start handle when

@@ -116,13 +116,13 @@ let identical_large g =
   let tau = Prng.rat_uniform g ~den:2 (Rat.make 1 2) (Rat.of_int 2) in
   tighten g (Feasible_gen.identical_length g ~n ~m ~tau ~window)
 
-(* Edit churn: the oracle runs a deterministic add/drop log over each
-   instance, re-solving after every edit, so the instance stays a bit
+(* Growth: the oracle grows a shop from each instance by deterministic
+   extensions, re-solving after every one, so the instance stays a bit
    smaller than [identical_large] while keeping the windows tight
-   enough that edits flip feasibility and reshape the forbidden regions
-   mid-log.  An eighth of the instances sit just above the fold-kernel
-   constant; the reference's cubic check after every edit makes them
-   most of the class's run time. *)
+   enough that extensions flip feasibility and reshape the forbidden
+   regions.  An eighth of the instances sit just above the fold-kernel
+   constant; the reference's cubic check after every extension makes
+   them most of the class's run time. *)
 let identical_churn g =
   let n, window =
     if Prng.int g 8 = 0 then above_fold_kernel g else (2 + Prng.int g 22, 1 + Prng.int g 6)

@@ -17,10 +17,9 @@
     {!E2e_core.Single_machine}), needs no exhaustive oracle, and so
     generates much larger identical-length instances (up to 40 tasks)
     than the optimality classes can afford.  [Eedf_inc] is its sibling
-    for the incremental engine: each instance seeds a deterministic
-    add/drop churn log whose every step is checked against the
-    from-scratch solver (regions, schedules and verdicts must agree
-    exactly). *)
+    for the warm solver handle: each instance is grown into a shop by
+    deterministic extensions, each checked against the from-scratch
+    reference (regions, schedules and verdicts must agree exactly). *)
 
 type model_class = Eedf | R | A | H | Eedf_fast | Eedf_inc
 

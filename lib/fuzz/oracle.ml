@@ -193,6 +193,64 @@ let run_h fs =
       | Bug _ as b -> b
       | _ -> ( match solver_verdict () with Bug _ as b -> b | _ -> first))
 
+module SM = E2e_core.Single_machine
+
+let pp_rats ppf rs =
+  Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
+    (fun ppf r -> Format.pp_print_string ppf (Rat.to_string r))
+    ppf (Array.to_list rs)
+
+let starts_equal a b = Array.length a = Array.length b && Array.for_all2 Rat.equal a b
+
+let pp_regions pp_region ppf rs =
+  Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp_region ppf rs
+
+let pp_ref_region ppf (r : Single_machine_ref.region) =
+  Format.fprintf ppf "(%s, %s)" (Rat.to_string r.left) (Rat.to_string r.right)
+
+let ref_jobs (jobs : SM.job array) =
+  Array.map
+    (fun (j : SM.job) ->
+      { Single_machine_ref.id = j.id; release = j.release; deadline = j.deadline })
+    jobs
+
+(* The engine's regions and optimal starts against the scan-based
+   reference's on the same jobs (ids are positions: EDF tie-breaks read
+   them), for exact rational equality; [who] names the engine side in
+   a report. *)
+let against_ref ~who ~tau ~regions ~starts jobs =
+  let regions_verdict =
+    match (regions, Single_machine_ref.forbidden_regions ~tau jobs) with
+    | Error `Infeasible, Error `Infeasible -> Agree
+    | Ok fast, Ok slow ->
+        if
+          List.length fast = List.length slow
+          && List.for_all2
+               (fun (f : SM.region) (s : Single_machine_ref.region) ->
+                 Rat.equal f.left s.left && Rat.equal f.right s.right)
+               fast slow
+        then Agree
+        else
+          bug Divergence "forbidden regions differ: %s [%a] vs ref [%a]" who
+            (pp_regions SM.pp_region) fast (pp_regions pp_ref_region) slow
+    | Ok _, Error `Infeasible ->
+        bug Divergence "%s built regions where the reference proves infeasible" who
+    | Error `Infeasible, Ok _ ->
+        bug Divergence "%s claims infeasible during regions; reference succeeds" who
+  in
+  match regions_verdict with
+  | Bug _ as b -> b
+  | _ -> (
+      match (Lazy.force starts, Single_machine_ref.schedule ~tau jobs) with
+      | Error `Infeasible, Error `Infeasible -> Agree
+      | Ok fast, Ok slow ->
+          if starts_equal fast slow then Agree
+          else bug Divergence "schedules differ: %s [%a] vs ref [%a]" who pp_rats fast pp_rats slow
+      | Ok _, Error `Infeasible ->
+          bug Divergence "%s schedules an instance the reference rejects" who
+      | Error `Infeasible, Ok _ ->
+          bug Divergence "%s rejects an instance the reference schedules" who)
+
 (* Engine-vs-engine differential: the indexed Single_machine against the
    retained scan-based reference, on the EEDF reduction of the instance.
    Every output — region list, optimal starts, plain-EDF ablation — must
@@ -201,255 +259,169 @@ let run_h fs =
 let run_eedf_fast fs =
   match Flow_shop.is_identical_length fs with
   | None -> bug Precondition "eedf-fast generator produced a non-identical-length shop"
-  | Some tau ->
+  | Some tau -> (
       let jobs = Eedf.single_machine_jobs fs ~tau in
-      let ref_jobs =
-        Array.map
-          (fun (j : E2e_core.Single_machine.job) ->
-            { Single_machine_ref.id = j.id; release = j.release; deadline = j.deadline })
-          jobs
-      in
-      let pp_rats ppf rs =
-        Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-          (fun ppf r -> Format.pp_print_string ppf (Rat.to_string r))
-          ppf (Array.to_list rs)
-      in
-      let starts_equal a b =
-        Array.length a = Array.length b && Array.for_all2 Rat.equal a b
-      in
-      let regions_verdict =
-        match
-          (E2e_core.Single_machine.forbidden_regions ~tau jobs,
-           Single_machine_ref.forbidden_regions ~tau:tau ref_jobs)
-        with
-        | Error `Infeasible, Error `Infeasible -> Agree
-        | Ok fast, Ok slow ->
-            let same =
-              List.length fast = List.length slow
-              && List.for_all2
-                   (fun (f : E2e_core.Single_machine.region) (s : Single_machine_ref.region) ->
-                     Rat.equal f.left s.left && Rat.equal f.right s.right)
-                   fast slow
-            in
-            if same then Agree
-            else
-              bug Divergence "forbidden regions differ: fast [%a] vs ref [%a]"
-                (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-                   E2e_core.Single_machine.pp_region)
-                fast
-                (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-                   (fun ppf (r : Single_machine_ref.region) ->
-                     Format.fprintf ppf "(%s, %s)" (Rat.to_string r.left)
-                       (Rat.to_string r.right)))
-                slow
-        | Ok _, Error `Infeasible ->
-            bug Divergence "fast engine built regions where the reference proves infeasible"
-        | Error `Infeasible, Ok _ ->
-            bug Divergence "fast engine claims infeasible during regions; reference succeeds"
-      in
-      let schedule_verdict () =
-        match
-          (E2e_core.Single_machine.schedule ~tau jobs,
-           Single_machine_ref.schedule ~tau:tau ref_jobs)
-        with
-        | Error `Infeasible, Error `Infeasible -> Agree
-        | Ok fast, Ok slow ->
-            if starts_equal fast slow then Agree
-            else bug Divergence "schedules differ: fast [%a] vs ref [%a]" pp_rats fast pp_rats slow
-        | Ok _, Error `Infeasible -> bug Divergence "fast schedules an instance the reference rejects"
-        | Error `Infeasible, Ok _ -> bug Divergence "fast rejects an instance the reference schedules"
-      in
-      let ablation_verdict () =
-        match
-          (E2e_core.Single_machine.edf_schedule_no_regions ~tau jobs,
-           Single_machine_ref.edf_schedule_no_regions ~tau:tau ref_jobs)
-        with
-        | Error (`Deadline_missed i), Error (`Deadline_missed i') ->
-            if i = i' then Agree
-            else bug Divergence "plain EDF misses different first deadlines: fast %d vs ref %d" i i'
-        | Ok fast, Ok slow ->
-            if starts_equal fast slow then Agree
-            else
-              bug Divergence "plain-EDF schedules differ: fast [%a] vs ref [%a]" pp_rats fast
-                pp_rats slow
-        | Ok _, Error (`Deadline_missed i) ->
-            bug Divergence "plain EDF: fast meets all deadlines, reference misses job %d" i
-        | Error (`Deadline_missed i), Ok _ ->
-            bug Divergence "plain EDF: fast misses job %d, reference meets all deadlines" i
-      in
-      (match regions_verdict with
+      match
+        against_ref ~who:"fast" ~tau ~regions:(SM.forbidden_regions ~tau jobs)
+          ~starts:(lazy (SM.schedule ~tau jobs)) (ref_jobs jobs)
+      with
       | Bug _ as b -> b
       | _ -> (
-          match schedule_verdict () with Bug _ as b -> b | _ -> ablation_verdict ()))
+          match
+            ( SM.edf_schedule_no_regions ~tau jobs,
+              Single_machine_ref.edf_schedule_no_regions ~tau (ref_jobs jobs) )
+          with
+          | Error (`Deadline_missed i), Error (`Deadline_missed i') ->
+              if i = i' then Agree
+              else
+                bug Divergence "plain EDF misses different first deadlines: fast %d vs ref %d" i i'
+          | Ok fast, Ok slow ->
+              if starts_equal fast slow then Agree
+              else
+                bug Divergence "plain-EDF schedules differ: fast [%a] vs ref [%a]" pp_rats fast
+                  pp_rats slow
+          | Ok _, Error (`Deadline_missed i) ->
+              bug Divergence "plain EDF: fast meets all deadlines, reference misses job %d" i
+          | Error (`Deadline_missed i), Ok _ ->
+              bug Divergence "plain EDF: fast misses job %d, reference meets all deadlines" i))
 
-(* Edited-state differential: replay a deterministic add/drop churn log
-   over the instance's EEDF reduction and require the
+(* Grown-shop differential: drive {!Solver.Incremental.extend} the way
+   the admission service does, on growing shops in the cache's
+   canonical (release, deadline) order, and require the handle's
    {!E2e_core.Single_machine.Inc} state to agree with the scan-based
-   {!Single_machine_ref} after {e every} edit — regions, start times and
-   feasibility verdicts, all under exact rational equality.  The
-   reference shares no code with the engine, so appends, rebuilds and
-   both packing kernels are checked independently.  The edit positions
-   are a fixed function of the log length, so a failing trial replays
-   from its seed alone. *)
-let rec insert_at i x l =
-  match l with
-  | l when i = 0 -> x :: l
-  | [] -> [ x ]
-  | y :: tl -> y :: insert_at (i - 1) x tl
-
-let rec remove_at i = function
-  | [] -> []
-  | _ :: tl when i = 0 -> tl
-  | y :: tl -> y :: remove_at (i - 1) tl
-
-let run_eedf_inc fs =
-  let module SM = E2e_core.Single_machine in
+   {!Single_machine_ref} after {e every} extension — regions, start
+   times and feasibility verdicts, under exact rational equality.  As
+   in admission, a handle exists only for a feasible shop and an
+   infeasible extension is checked and then discarded, so the next
+   extension grows the last feasible handle.  The reference shares no
+   code with the engine, so appends, rebuilds and both packing kernels
+   are checked independently.  The chunking is a fixed function of the
+   instance, so a failing trial replays from its seed alone. *)
+let run_eedf_inc (fs : Flow_shop.t) =
+  let module Warm = Solver.Incremental in
   match Flow_shop.is_identical_length fs with
   | None -> bug Precondition "eedf-inc generator produced a non-identical-length shop"
   | Some tau ->
-      let all = Eedf.single_machine_jobs fs ~tau in
-      let n = Array.length all in
-      let pp_rats ppf rs =
-        Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-          (fun ppf r -> Format.pp_print_string ppf (Rat.to_string r))
-          ppf (Array.to_list rs)
-      in
-      let pp_regions ppf rs =
-        Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-          SM.pp_region ppf rs
-      in
-      (* The state re-ids jobs to positions, so the reference's copy
-         must too: EDF tie-breaks read the id. *)
-      let reid mirror =
-        Array.of_list
-          (List.mapi
-             (fun i (j : SM.job) ->
-               { Single_machine_ref.id = i; release = j.release; deadline = j.deadline })
-             mirror)
-      in
-      let pp_ref_regions ppf rs =
-        Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-          (fun ppf (r : Single_machine_ref.region) ->
-            Format.fprintf ppf "(%s, %s)" (Rat.to_string r.left) (Rat.to_string r.right))
-          ppf rs
-      in
-      let check ~step st mirror =
-        let jobs = reid mirror in
-        let regions_verdict =
-          match (SM.Inc.regions st, Single_machine_ref.forbidden_regions ~tau jobs) with
-          | Error `Infeasible, Error `Infeasible -> Agree
-          | Ok inc, Ok scr ->
-              let same =
-                List.length inc = List.length scr
-                && List.for_all2
-                     (fun (a : SM.region) (b : Single_machine_ref.region) ->
-                       Rat.equal a.left b.left && Rat.equal a.right b.right)
-                     inc scr
-              in
-              if same then Agree
-              else
-                bug Divergence "%s: forbidden regions differ: inc [%a] vs ref [%a]" step
-                  pp_regions inc pp_ref_regions scr
-          | Ok _, Error `Infeasible ->
-              bug Divergence "%s: edited state built regions where the reference proves infeasible"
-                step
-          | Error `Infeasible, Ok _ ->
-              bug Divergence "%s: edited state claims infeasible; the reference builds regions"
-                step
-        in
-        match regions_verdict with
-        | Bug _ as b -> b
-        | _ -> (
-            match (SM.Inc.solve st, Single_machine_ref.schedule ~tau jobs) with
-            | Error `Infeasible, Error `Infeasible -> Agree
-            | Ok inc, Ok scr ->
-                if Array.length inc = Array.length scr && Array.for_all2 Rat.equal inc scr then
-                  Agree
-                else
-                  bug Divergence "%s: schedules differ: inc [%a] vs ref [%a]" step pp_rats inc
-                    pp_rats scr
-            | Ok _, Error `Infeasible ->
-                bug Divergence "%s: edited state schedules an instance the reference rejects" step
-            | Error `Infeasible, Ok _ ->
-                bug Divergence "%s: edited state rejects an instance the reference schedules" step)
+      let m = fs.processors in
+      let slack = Rat.mul_int tau (m - 1) in
+      (* Tasks as (release, deadline) pairs; a shop lists them stably
+         sorted, so committed tasks precede equal fresh ones. *)
+      let shop_of tasks =
+        Flow_shop.of_params
+          (Array.of_list
+             (List.map
+                (fun (r, d) -> (r, d, Array.make m tau))
+                (List.stable_sort
+                   (fun (r, d) (r', d') ->
+                     match Rat.compare r r' with 0 -> Rat.compare d d' | c -> c)
+                   tasks)))
       in
       let exception Found of outcome in
-      let guard step st mirror =
-        match check ~step st mirror with Agree -> () | o -> raise (Found o)
+      let guard step st shop =
+        match
+          against_ref ~who:(step ^ " warm state") ~tau ~regions:(SM.Inc.regions st)
+            ~starts:(lazy (SM.Inc.solve st))
+            (ref_jobs (Eedf.single_machine_jobs shop ~tau))
+        with
+        | Agree -> ()
+        | o -> raise (Found o)
       in
-      let base_n = Stdlib.max 1 ((n + 1) / 2) in
-      let base = Array.sub all 0 base_n in
-      (try
-         let st = ref (SM.Inc.make ~tau base) in
-         let mirror = ref (Array.to_list base) in
-         guard "base" !st !mirror;
-         (* Grow back to the full job set one insertion at a time. *)
-         for k = base_n to n - 1 do
-           let (j : SM.job) = all.(k) in
-           let at = ((k * 13) + 5) mod (List.length !mirror + 1) in
-           st := SM.Inc.add_task !st ~at ~release:j.release ~deadline:j.deadline;
-           mirror := insert_at at j !mirror;
-           guard (Printf.sprintf "add#%d@%d" k at) !st !mirror
-         done;
-         (* Past-horizon arrivals appended at the end, with the append
-            test's bounds met exactly (d0 - tau = max deadline,
-            d0 - 2 tau = r0) or missed by a quarter unit, and with r0
-            equal to the max release: both the append path and its
-            rebuild fallback run, and the drops below then unwind the
-            mixed history. *)
-         let quarter = Rat.make 1 4 in
-         List.iteri
-           (fun i case ->
-             let top pick =
-               List.fold_left (fun acc j -> Rat.max acc (pick j)) (pick (List.hd !mirror)) !mirror
-             in
-             let r_max = top (fun (j : SM.job) -> j.release) in
-             let d_max = top (fun (j : SM.job) -> j.deadline) in
-             let tau2 = Rat.add tau tau in
-             (* Releases up to [low] let the deadline bound be the tight
-                one; above it only the window bound can be. *)
-             let low = Rat.sub d_max tau in
-             let under =
-               if Rat.(low > r_max) then Rat.div (Rat.add r_max low) (Rat.of_int 2)
-               else Rat.add r_max quarter
-             in
-             let over = Rat.add (Rat.max r_max low) quarter in
-             let release, deadline =
-               match case with
-               | `Deadline_at -> (under, Rat.add d_max tau)
-               | `Deadline_short -> (under, Rat.sub (Rat.add d_max tau) quarter)
-               | `Window_at -> (over, Rat.add over tau2)
-               | `Window_short -> (over, Rat.sub (Rat.add over tau2) quarter)
-               | `Release_at -> (r_max, Rat.max (Rat.add d_max tau) (Rat.add r_max tau2))
-             in
-             let at = List.length !mirror in
-             st := SM.Inc.add_task !st ~at ~release ~deadline;
-             mirror := !mirror @ [ { SM.id = 0; release; deadline } ];
-             guard (Printf.sprintf "arrive#%d@%d" i at) !st !mirror)
-           [ `Window_at; `Deadline_at; `Deadline_short; `Window_at; `Window_short; `Release_at;
-             `Deadline_at ];
-         (* Shrink to a single job, hitting early, middle and late
-            positions as the length changes parity. *)
-         let step = ref 0 in
-         while List.length !mirror > 1 do
-           let len = List.length !mirror in
-           let at = ((len * 31) + 7) mod len in
-           st := SM.Inc.remove_task !st ~at;
-           mirror := remove_at at !mirror;
-           incr step;
-           guard (Printf.sprintf "drop#%d@%d" !step at) !st !mirror
-         done;
-         (* Add after drop on a state whose history mixes both edit
-            kinds and both kernels. *)
-         List.iteri
-           (fun i (j : SM.job) ->
-             let at = ((i * 17) + 3) mod (List.length !mirror + 1) in
-             st := SM.Inc.add_task !st ~at ~release:j.release ~deadline:j.deadline;
-             mirror := insert_at at j !mirror;
-             guard (Printf.sprintf "readd#%d@%d" i at) !st !mirror)
-           [ all.(0); all.(n - 1) ];
-         Agree
-       with Found o -> o)
+      let all =
+        List.map (fun (t : E2e_model.Task.t) -> (t.release, t.deadline)) (Array.to_list fs.tasks)
+      in
+      let n = List.length all in
+      (* The base is a cold solve, like a submit: the first half of the
+         tasks (or up to the first that fits alone), greedily keeping
+         those that leave it feasible. *)
+      let base, rest =
+        List.fold_left
+          (fun (base, rest) (i, t) ->
+            if i >= (n + 1) / 2 && Option.is_some (snd base) then (base, t :: rest)
+            else
+              match Warm.solve_with_state (shop_of (t :: fst base)) with
+              | _, Some h -> ((t :: fst base, Some h), rest)
+              | _, None -> (base, t :: rest))
+          (([], None), [])
+          (List.mapi (fun i t -> (i, t)) all)
+      in
+      match base with
+      | _, None -> Skip "no task fits alone"
+      | committed, Some h -> (
+          let committed = ref committed and handle = ref h in
+          (* One admission [add]: extend the last feasible handle by
+             [fresh] and keep the result only when it is feasible. *)
+          let add step fresh =
+            let tasks = !committed @ fresh in
+            let shop = shop_of tasks in
+            match Warm.extend !handle shop with
+            | None -> raise (Found (bug Divergence "%s: extend refused a grown shop" step))
+            | Some h ->
+                guard step (Warm.state h) shop;
+                if Result.is_ok (SM.Inc.solve (Warm.state h)) then begin
+                  committed := tasks;
+                  handle := h
+                end
+          in
+          try
+            guard "base" (Warm.state h) (shop_of !committed);
+            (* Grow by chunks of one to three of the tasks the base
+               left out, in instance order; they land anywhere in the
+               canonical order. *)
+            let rec grow i = function
+              | [] -> ()
+              | tasks ->
+                  let k = 1 + (((i * 7) + 3) mod 3) in
+                  let chunk = List.filteri (fun j _ -> j < k) tasks in
+                  add (Printf.sprintf "grow#%d" i) chunk;
+                  grow (i + 1) (List.filteri (fun j _ -> j >= k) tasks)
+            in
+            grow 0 (List.rev rest);
+            (* Past-horizon extends with the append test's bounds met
+               exactly (d0 - tau = max deadline, d0 - 2 tau = r0) or
+               missed by a quarter unit, and with r0 equal to the max
+               release, on the reduced instance: appends that all pass,
+               a failing one, one that passes and one that then fails
+               (one rebuild of the whole shop), one failing first. *)
+            let quarter = Rat.make 1 4 and tau2 = Rat.add tau tau in
+            let arrival tasks case =
+              let top pick =
+                List.fold_left (fun acc t -> Rat.max acc (pick t)) (pick (List.hd tasks)) tasks
+              in
+              let r_max = top fst and d_max = Rat.sub (top snd) slack in
+              (* Releases up to [low] let the deadline bound be the tight
+                 one; above it only the window bound can be. *)
+              let low = Rat.sub d_max tau in
+              let under =
+                if Rat.(low > r_max) then Rat.div (Rat.add r_max low) (Rat.of_int 2)
+                else Rat.add r_max quarter
+              in
+              let over = Rat.add (Rat.max r_max low) quarter in
+              let release, deadline =
+                match case with
+                | `Deadline_at -> (under, Rat.add d_max tau)
+                | `Deadline_short -> (under, Rat.sub (Rat.add d_max tau) quarter)
+                | `Window_at -> (over, Rat.add over tau2)
+                | `Window_short -> (over, Rat.sub (Rat.add over tau2) quarter)
+                | `Release_at -> (r_max, Rat.max (Rat.add d_max tau) (Rat.add r_max tau2))
+              in
+              (release, Rat.add deadline slack)
+            in
+            List.iteri
+              (fun i cases ->
+                let fresh =
+                  List.fold_left
+                    (fun fresh case -> fresh @ [ arrival (!committed @ fresh) case ])
+                    [] cases
+                in
+                add (Printf.sprintf "arrive#%d" i) fresh)
+              [
+                [ `Window_at; `Deadline_at ];
+                [ `Deadline_short ];
+                [ `Window_at; `Window_short ];
+                [ `Release_at; `Deadline_at ];
+              ];
+            Agree
+          with Found o -> o)
 
 let run cls (shop : Recurrence_shop.t) =
   let traditional run_fs =

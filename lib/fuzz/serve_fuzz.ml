@@ -6,6 +6,7 @@ module Recurrence_shop = E2e_model.Recurrence_shop
 module Feasible_gen = E2e_workload.Feasible_gen
 module Admission = E2e_serve.Admission
 module Batcher = E2e_serve.Batcher
+module Stripes = E2e_serve.Stripes
 module Protocol = E2e_serve.Protocol
 
 type finding = {
@@ -135,7 +136,7 @@ let run_batched ~jobs log =
     { Batcher.queue_capacity = max 1 (List.length log); batch = 4;
       budget = Admission.Unbounded; jobs; cache_capacity = 64 }
   in
-  Batcher.process_log (Batcher.create ~config ()) log
+  Stripes.process_log (Stripes.create ~config ()) log
 
 (* Sequential, cache off, one domain: the reference interpreter. *)
 let run_reference log =

@@ -5,7 +5,7 @@
     submissions, incremental adds, deliberately infeasible sets,
     queries and drops — and runs it through two interpreters:
 
-    - the {b batched} engine ({!E2e_serve.Batcher.process_log}) with
+    - the {b batched} engine ({!E2e_serve.Stripes.process_log}) with
       the canonical solver cache enabled and solves fanned out over
       [jobs] worker domains, and
     - the {b sequential reference} ({!E2e_serve.Admission.apply} folded

@@ -22,9 +22,9 @@ type decision =
 
 (* Warm-start state parked with a committed shop.  [Machine] is a full
    incremental solver handle (identical-length shops on the EEDF path):
-   the next Add re-solves by O(delta) [add_task] deltas.  [Hint] is the
+   the next Add extends it ([Solver.Incremental.extend]).  [Hint] is the
    portfolio strategy that last admitted the shop: the next full solve
-   tries it first.  Both are decision-transparent — the delta path is
+   tries it first.  Both are decision-transparent — the warm path is
    byte-identical to a cold solve and the hint is part of the cache key
    — so entries with and without state always produce the same replies. *)
 type inc_state = Machine of Solver.Incremental.t | Hint of H_portfolio.strategy
@@ -147,8 +147,6 @@ let solve_full budget ?hint shop =
   | r -> r
   | exception Rat.Overflow -> (Failed { message = overflow_message }, None)
 
-let decide_uncached budget shop = fst (solve_full budget shop)
-
 (* Relabel a decision computed on the canonical shop back to the
    candidate's task ids.  Feasibility is invariant under the relabelling
    (all constraints are per-task or set-based), so the restored schedule
@@ -158,8 +156,6 @@ let relabel canon (shop : Recurrence_shop.t) = function
       let starts = Cache.restore_starts canon schedule.Schedule.starts in
       Admitted { schedule = Schedule.make shop starts; algo }
   | (Rejected _ | Undecided _ | Failed _) as d -> d
-
-let solve ~budget shop = decide_uncached budget shop
 
 (* Independent re-verification of an admitted schedule against the
    checker, after relabelling and before commit — the "verify" stage of
@@ -199,36 +195,6 @@ let hint_tag = function
 
 let cache_key ~budget ?hint canon =
   canon.Cache.key ^ ":" ^ budget_tag budget ^ hint_tag hint
-
-(* Every solve runs on the canonical form, cached or not: heuristics may
-   be sensitive to task order, so solving the original labelling only
-   when the cache is off would let cache-on and cache-off runs reach
-   different verdicts.  Canonicalize-always makes the transparency
-   contract (identical verdicts) hold by construction; the cache only
-   controls reuse. *)
-let decide_canonical ?(budget = Unbounded) ?cache canon (shop : Recurrence_shop.t) =
-  let decision =
-    match cache with
-    | None -> relabel canon shop (decide_uncached budget canon.Cache.shop)
-    | Some c -> (
-        let key = cache_key ~budget canon in
-        match Cache.find c key with
-        | Some s -> relabel canon shop s.decision
-        | None ->
-            let d, state = solve_full budget canon.Cache.shop in
-            Cache.add c key
-              { decision = d; hint = (match state with Some (Hint h) -> Some h | _ -> None) };
-            relabel canon shop d)
-  in
-  (* The cache stores pre-verify canonical decisions; every consumer
-     (hit or miss, batched or sequential) re-verifies after relabelling,
-     so verification is uniform across cache settings. *)
-  let decision = verify_decision decision in
-  record_decision decision;
-  decision
-
-let decide ?budget ?cache (shop : Recurrence_shop.t) =
-  decide_canonical ?budget ?cache (Cache.canonicalize shop) shop
 
 let request_error shop message =
   Obs.incr "serve.request_errors";
@@ -288,8 +254,6 @@ let prepare ?keyer t = function
            { shop; n_tasks = Option.map (fun e -> Recurrence_shop.n_tasks e.shop) (Smap.find_opt shop t) })
   | Drop { shop } -> Error (Dropped { shop; existed = Smap.mem shop t })
 
-let candidate_of_request t request = Result.map (fun p -> p.candidate) (prepare t request)
-
 let hint_of p = match p.base_inc with Some (Hint h) -> Some h | _ -> None
 let state_of_cached (s : solved) = Option.map (fun h -> Hint h) s.hint
 
@@ -301,15 +265,16 @@ let solve_prepared ~budget p =
   ( { decision = d; hint = (match state with Some (Hint h) -> Some h | _ -> None) },
     state )
 
-(* The O(delta) path: an Add to a shop whose committed solve left a
-   Machine handle extends that handle with the fresh canonical jobs and
-   reads the verdict — no cache, no full solve.  [None] falls back to
+(* The warm path: an Add to a shop whose committed solve left a Machine
+   handle extends that handle to the merged canonical set (an exact
+   append of a past-horizon tail, else one rebuild) and reads the
+   verdict — no cache, no portfolio.  [None] falls back to
    the cache/solve path (not an Add, no handle, or the merged set left
    the identical-length class).  Decision-transparent: the incremental
    engine agrees byte-for-byte with the scratch solver ([eedf-inc]
    fuzz), and the Rejected arm rebuilds the same certificate the cold
    path would.  Counters [serve.inc_hits]/[serve.inc_misses] measure
-   the delta-path hit rate over Add requests. *)
+   the warm-path hit rate over Add requests. *)
 let try_incremental p =
   let delta () =
     match p.base_inc with
@@ -335,10 +300,15 @@ let try_incremental p =
   result
 
 (* Decide one prepared candidate with every warm-start facility, in
-   fixed precedence: delta path first (never touches the cache), then
+   fixed precedence: warm path first (never touches the cache), then
    the cache under the hint-tagged key, then a hinted full solve.  Both
    the sequential reference interpreter ({!apply}) and the batcher run
-   exactly this ordering, so they agree reply-for-reply. *)
+   exactly this ordering, so they agree reply-for-reply.  Every solve
+   runs on the canonical form, cached or not: heuristics may be
+   sensitive to task order, so canonicalize-always makes cache-on and
+   cache-off verdicts identical by construction, and the cache only
+   controls reuse.  The cache stores pre-verify canonical decisions;
+   every consumer re-verifies after relabelling. *)
 let decide_prepared ?(budget = Unbounded) ?cache ({ candidate; canon; _ } as p) =
   let canonical, state =
     match try_incremental p with

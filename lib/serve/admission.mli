@@ -59,12 +59,13 @@ type decision =
 type inc_state =
   | Machine of E2e_core.Solver.Incremental.t
       (** A warm incremental solver handle (identical-length / EEDF
-          shops): the next [Add] re-solves by O(delta) task deltas. *)
+          shops): the next [Add] extends it
+          ({!E2e_core.Solver.Incremental.extend}). *)
   | Hint of E2e_core.H_portfolio.strategy
       (** The portfolio strategy that last admitted the shop: the next
           full solve tries it first. *)
 (** Warm-start state parked with a committed shop.  Decision-transparent
-    by construction: the delta path is byte-identical to a cold solve
+    by construction: the warm path is byte-identical to a cold solve
     and the hint is part of the cache key, so entries with and without
     state always produce the same replies — only the work differs. *)
 
@@ -97,11 +98,6 @@ val shops : t -> (string * E2e_model.Recurrence_shop.t) list
 val find : t -> string -> E2e_model.Recurrence_shop.t option
 val n_committed : t -> int
 (** Total committed tasks across all shops. *)
-
-val solve : budget:budget -> E2e_model.Recurrence_shop.t -> decision
-(** The raw, cache-free solve {!decide} builds on — a pure function of
-    the candidate, safe to run from worker domains.  Does not bump the
-    verdict counters ({!decide} and the batcher do, once per reply). *)
 
 val relabel :
   Cache.canonical -> E2e_model.Recurrence_shop.t -> decision -> decision
@@ -137,31 +133,7 @@ val cache_key :
 val record_decision : decision -> unit
 (** Bump the [serve.admitted]/[serve.rejected]/[serve.undecided]
     counter for one reply (exposed for the batcher, which replays
-    {!decide}'s cache dance in deterministic phases). *)
-
-val decide :
-  ?budget:budget ->
-  ?cache:solved Cache.t ->
-  E2e_model.Recurrence_shop.t ->
-  decision
-(** Decide one candidate set in isolation (the committed set merged with
-    the proposal — {!apply} constructs it).  The candidate is always
-    canonicalized and the solve runs on the canonical form (so verdicts
-    are independent of task labelling, whether or not a cache is in
-    play); with [cache], a hit replays the cached decision with its
-    schedule relabelled to the candidate's task ids and a miss stores
-    the canonical decision.  Default budget: [Unbounded]. *)
-
-val decide_canonical :
-  ?budget:budget ->
-  ?cache:solved Cache.t ->
-  Cache.canonical ->
-  E2e_model.Recurrence_shop.t ->
-  decision
-(** {!decide} with the canonicalization already done.  This entry point
-    has no committed-state context, so it never takes the delta path and
-    never hints — use {!decide_prepared} for requests that went through
-    {!prepare}. *)
+    {!decide_prepared}'s cache dance in deterministic phases). *)
 
 type prepared = {
   candidate : E2e_model.Recurrence_shop.t;
@@ -172,7 +144,7 @@ type prepared = {
 }
 (** A validated [Submit]/[Add]: the merged committed-plus-candidate set
     together with its canonical form and the warm-start context the
-    delta path and the portfolio hint run on. *)
+    warm path and the portfolio hint run on. *)
 
 val prepare : ?keyer:Cache.Keyer.t -> t -> request -> (prepared, reply) result
 (** Validate one request and canonicalize its candidate, or return the
@@ -186,15 +158,11 @@ val prepare : ?keyer:Cache.Keyer.t -> t -> request -> (prepared, reply) result
     canonicalize sequentially while fanning only the solves out in
     parallel. *)
 
-val candidate_of_request :
-  t -> request -> (E2e_model.Recurrence_shop.t, reply) result
-(** [prepare] without the canonical — the merged candidate set a
-    [Submit]/[Add] asks the engine to guarantee. *)
-
 val try_incremental : prepared -> (decision * inc_state option) option
-(** The O(delta) path: an [Add] to a shop whose committed solve left a
-    [Machine] handle extends that handle with the fresh canonical jobs
-    and reads the verdict — no cache, no full solve.  [None] falls back
+(** The warm path: an [Add] to a shop whose committed solve left a
+    [Machine] handle extends that handle to the merged canonical set
+    (an exact append of a past-horizon tail, else one rebuild) and
+    reads the verdict — no cache, no portfolio.  [None] falls back
     to the cache/solve path (not an [Add], no handle, or the merged set
     left the identical-length class).  The returned canonical decision
     is byte-identical to what a cold solve would produce (the [eedf-inc]
@@ -241,7 +209,7 @@ val resident_sizes : t -> (string * int) list
 
 val warm_resident : t -> int
 (** Total tasks held in warm [Machine] handles across all shops — how
-    much of the committed state the delta path can currently serve. *)
+    much of the committed state the warm path can currently serve. *)
 
 val apply :
   ?budget:budget ->

@@ -28,7 +28,7 @@ type service_stats = {
   max_batch : int;
   budget_exhausted : int;
   verify_failures : int;
-  inc_hits : int;  (* Add requests decided by the O(delta) warm path *)
+  inc_hits : int;  (* Add requests decided by the warm path *)
   inc_misses : int;  (* Add requests that fell back to cache/full solve *)
   resident : (string * int) list;  (* committed tasks per shop, sorted *)
   verdicts : (string * (int * int * int)) list;
@@ -156,7 +156,7 @@ type slot =
       state : Admission.inc_state option;
       prepared : Admission.prepared;
     }
-      (* Decided in phase 1 by the O(delta) warm path — the same
+      (* Decided in phase 1 by the warm path — the same
          precedence the sequential interpreter uses (delta before
          cache).  The delta solve is cheap enough for the ingress
          domain; relabelling and verification still happen in phase 3. *)
@@ -351,18 +351,3 @@ let drain t =
   go []
 
 type outcome = Reply of Admission.reply | Overloaded
-
-let process_log t log =
-  let log = Array.of_list log in
-  let outcomes = Array.make (Array.length log) Overloaded in
-  let queued = Queue.create () in
-  Array.iteri
-    (fun i req ->
-      match submit t req with `Queued -> Queue.push i queued | `Overloaded -> ())
-    log;
-  List.iter
-    (fun (_, tr, reply) ->
-      Rtrace.finish tr;
-      outcomes.(Queue.pop queued) <- Reply reply)
-    (drain t);
-  outcomes

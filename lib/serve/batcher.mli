@@ -105,7 +105,7 @@ type service_stats = {
   budget_exhausted : int;  (** Replies [Undecided (budget-exhausted)]. *)
   verify_failures : int;  (** Replies downgraded by the verify stage. *)
   inc_hits : int;
-      (** [Add] requests decided by the O(delta) warm path
+      (** [Add] requests decided by the warm path
           ({!Admission.try_incremental}). *)
   inc_misses : int;
       (** [Add] requests that fell back to the cache/full-solve path —
@@ -132,10 +132,5 @@ val drain : t -> (Admission.request * Rtrace.t * Admission.reply) list
 (** [step] until the queue is empty, concatenating the replies. *)
 
 type outcome = Reply of Admission.reply | Overloaded
-
-val process_log : t -> Admission.request list -> outcome array
-(** Replay a whole request log: submit every request in order (requests
-    past queue capacity get [Overloaded]), then drain, finishing every
-    trace context.  [outcomes.(i)] answers request [i] — the array the
-    determinism and fuzzing harnesses compare byte-for-byte across
-    [jobs] and cache settings. *)
+(** A replayed request's answer ({!Stripes.process_log}): its reply,
+    or [Overloaded] when it arrived past the queue capacity. *)

@@ -14,11 +14,14 @@
    partitioned (stripe [k] of [n] strides by [n] from offset [k]), so
    per-id trace invariants hold at any stripe count. *)
 
-(* FNV-1a with the same murmur-style finalizer the cluster registry
-   uses for its ring positions.  Re-implemented here rather than shared
-   because the dependency points the other way: [e2e_cluster] builds on
-   [e2e_serve].  The two need not agree — this hash picks a stripe
-   inside one server, the registry's picks a shard across servers. *)
+(* FNV-1a with a murmur3-style finalizer, folded into OCaml's positive
+   int range: the stripe map here and the cluster registry's ring
+   positions.  Plain FNV-1a has weak avalanche on the trailing bytes,
+   and ring inputs ("host:port#k") share long prefixes and differ only
+   in final digits — without the finalizer every vnode of a shard
+   lands on one contiguous arc of the ring and one shard absorbs
+   nearly all shops.  Deterministic across runs and platforms (64-bit
+   int assumed, as everywhere in this codebase). *)
 let fnv_basis = Int64.to_int 0xcbf29ce484222325L (* truncated to 63 bits *)
 let mix_m1 = Int64.to_int 0xff51afd7ed558ccdL
 let mix_m2 = Int64.to_int 0xc4ceb9fe1a85ec53L
@@ -119,12 +122,12 @@ let keyer_stats t =
     { Cache.Keyer.reused = 0; rendered = 0 }
     t.batchers
 
-(* Sequential replay, the striped analogue of {!Batcher.process_log}:
-   submit every request in log order to its stripe, drain each stripe,
-   and scatter the replies back to log positions.  Each stripe's drain
-   is in its own submission order, which is the log-order restriction
-   to that stripe — so per-request outcomes are independent of the
-   stripe count (the array this module's determinism tests compare). *)
+(* Sequential replay: submit every request in log order to its stripe,
+   drain each stripe, and scatter the replies back to log positions.
+   Each stripe's drain is in its own submission order, which is the
+   log-order restriction to that stripe — so per-request outcomes are
+   independent of the stripe count (the array this module's
+   determinism tests compare). *)
 let process_log t log =
   let log = Array.of_list log in
   let outcomes = Array.make (Array.length log) Batcher.Overloaded in

@@ -46,9 +46,15 @@ val batcher : t -> int -> Batcher.t
 val config : t -> Batcher.config
 (** The shared per-stripe configuration. *)
 
+val fnv1a : string -> int
+(** FNV-1a with a murmur3-style finalizer, folded into the positive int
+    range: the hash behind {!stripe_index} and the cluster registry's
+    ring positions.  The finalizer matters: ring inputs share long
+    prefixes and plain FNV-1a would cluster them on one arc. *)
+
 val stripe_index : stripes:int -> string -> int
-(** The pure stripe map: FNV-1a (with a murmur-style finalizer) of the
-    shop name, mod [stripes].  [0] whenever [stripes <= 1]. *)
+(** The pure stripe map: {!fnv1a} of the shop name, mod [stripes].
+    [0] whenever [stripes <= 1]. *)
 
 val stripe_of : t -> Admission.request -> int
 

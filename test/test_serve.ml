@@ -89,8 +89,8 @@ let run_log ~jobs ~cache_capacity log =
     { Batcher.queue_capacity = max 1 (List.length log); batch = 4;
       budget = Admission.Unbounded; jobs; cache_capacity }
   in
-  let b = Batcher.create ~config () in
-  (Batcher.process_log b log, b)
+  let s = Stripes.create ~config () in
+  (Stripes.process_log s log, Stripes.batcher s 0)
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                              *)
@@ -287,9 +287,9 @@ let test_backpressure () =
     { Batcher.queue_capacity = 4; batch = 2; budget = Admission.Unbounded; jobs = 1;
       cache_capacity = 8 }
   in
-  let b = Batcher.create ~config () in
+  let s = Stripes.create ~config () in
   let log = List.init 10 (fun i -> Admission.Query { shop = Printf.sprintf "q%d" i }) in
-  let outcomes = Batcher.process_log b log in
+  let outcomes = Stripes.process_log s log in
   let overloaded =
     Array.to_list outcomes
     |> List.filter (function Batcher.Overloaded -> true | _ -> false)
@@ -305,7 +305,7 @@ let test_backpressure () =
         (Printf.sprintf "request %d backpressure position" i)
         expect_overloaded is_overloaded)
     outcomes;
-  Alcotest.(check int) "queue drained" 0 (Batcher.pending b)
+  Alcotest.(check int) "queue drained" 0 (Stripes.pending s)
 
 let test_batch_splits_same_shop () =
   (* Two requests on one shop are order-dependent: the duplicate submit
@@ -594,7 +594,7 @@ let prefix_shop pfx : Admission.request -> Admission.request = function
    connection's log through a fresh single-domain batcher. *)
 let oracle_replies log =
   let config = { Batcher.default_config with Batcher.queue_capacity = 4096 } in
-  let outcomes = Batcher.process_log (Batcher.create ~config ()) log in
+  let outcomes = Stripes.process_log (Stripes.create ~config ()) log in
   Array.to_list (Array.map (Protocol.render_reply ~schedules:false) outcomes)
 
 (* The transport's headline guarantee: M concurrent pipelined clients
@@ -755,6 +755,23 @@ let test_stripe_determinism () =
   ignore (Stripes.process_log s4 log);
   let ids_seen = Stripes.last_id s4 in
   Alcotest.(check bool) "ids handed out" true (ids_seen >= List.length log / 2)
+
+(* The shop hash is part of the wire-visible behaviour: it places shops
+   on stripes here and on shards in the cluster ring.  Pinned to
+   literal values, so no edit can move a shop silently. *)
+let test_fnv1a_pinned () =
+  List.iter
+    (fun (name, hash, stripe) ->
+      Alcotest.(check int) (Printf.sprintf "fnv1a %S" name) hash (Stripes.fnv1a name);
+      Alcotest.(check int) (Printf.sprintf "stripe of %S" name) stripe
+        (Stripes.stripe_index ~stripes:4 name))
+    [
+      ("", 821694572336006002, 2);
+      ("s0", 379600922039792775, 3);
+      ("alpha", 2078234241766689537, 1);
+      ("shop-17", 1956716972289808082, 2);
+      ("127.0.0.1:7401#3", 1422720402647424303, 3);
+    ]
 
 (* The striped TCP transport against per-connection sequential oracles:
    same guarantee as [test_concurrent_transport], now with one drainer
@@ -965,4 +982,5 @@ let suite =
      test_session_oversized_line);
     ("listener: spawn fails instead of hanging when the bind fails", `Quick,
      test_spawn_bind_failure);
+    ("stripes: fnv1a pinned to literal values", `Quick, test_fnv1a_pinned);
   ]

@@ -200,97 +200,84 @@ let reid jobs = Array.mapi (fun i (j : Sm.job) -> { j with Sm.id = i }) jobs
 let agree ~what ~tau st jobs =
   against_ref ~what ~tau ~regions:(Sm.Inc.regions st) ~starts:(Sm.Inc.solve st) (reid jobs)
 
+(* The warm state for [jobs] plus one arrival: an exact append when it
+   is past the horizon, a rebuild otherwise — the two things the warm
+   handle does. *)
+let append_or_make st ~release ~deadline =
+  match Sm.Inc.append st ~release ~deadline with
+  | Some st' -> (st', `Append)
+  | None ->
+      let jobs = Array.append (Sm.Inc.jobs st) [| job 0 release deadline |] in
+      (Sm.Inc.make ~tau:(Sm.Inc.tau st) jobs, `Rebuild)
+
 let test_inc_trap_add_remove () =
   let tau = r 2 in
-  (* Start from the long-window job alone, then add the tight job: the
-     warm state must discover the trap's forbidden region. *)
+  (* Start from the long-window job alone, then add the tight job: it is
+     inside the horizon, so the state is rebuilt, and the rebuild must
+     discover the trap's forbidden region. *)
   let st = Sm.Inc.make ~tau [| job 0 (r 0) (r 10) |] in
   agree ~what:"base" ~tau st (Sm.Inc.jobs st);
-  let st' = Sm.Inc.add_task st ~at:1 ~release:(r 1) ~deadline:(r 3) in
+  let st', path = append_or_make st ~release:(r 1) ~deadline:(r 3) in
+  Alcotest.(check bool) "in-horizon job is not appended" true (path = `Rebuild);
   agree ~what:"after add" ~tau st' (Sm.Inc.jobs st');
   (match Sm.Inc.solve st' with
   | Ok starts -> check_rat "tight job at its release" (r 1) starts.(1)
   | Error `Infeasible -> Alcotest.fail "trap instance is feasible");
-  (* Persistence: the pre-add state still answers for the old set. *)
-  Alcotest.(check int) "input state untouched" 1 (Sm.Inc.n_jobs st);
-  agree ~what:"input state" ~tau st (Sm.Inc.jobs st);
-  let st'' = Sm.Inc.remove_task st' ~at:1 in
+  (* Persistence: an append leaves its input state answering for the
+     old set. *)
+  (match Sm.Inc.append st' ~release:(r 12) ~deadline:(r 16) with
+  | Some st'' -> Alcotest.(check int) "appended" 3 (Sm.Inc.n_jobs st'')
+  | None -> Alcotest.fail "past-horizon job must append");
+  Alcotest.(check int) "input state untouched" 2 (Sm.Inc.n_jobs st');
+  agree ~what:"input state" ~tau st' (Sm.Inc.jobs st');
+  let st'' = Sm.Inc.make ~tau [| (Sm.Inc.jobs st').(0) |] in
   Alcotest.(check int) "back to one job" 1 (Sm.Inc.n_jobs st'');
   agree ~what:"after remove" ~tau st'' (Sm.Inc.jobs st'')
 
 let test_inc_infeasibility_flips () =
   let tau = r 1 in
   let st = Sm.Inc.make ~tau [| job 0 (r 0) (r 1) |] in
-  let st' = Sm.Inc.add_task st ~at:1 ~release:(r 0) ~deadline:(r 1) in
+  let st', _ = append_or_make st ~release:(r 0) ~deadline:(r 1) in
   (match Sm.Inc.solve st' with
   | Error `Infeasible -> ()
   | Ok _ -> Alcotest.fail "two unit jobs in one unit window");
   agree ~what:"infeasible state" ~tau st' (Sm.Inc.jobs st');
   (* Dropping either of the clashing jobs restores feasibility. *)
-  match Sm.Inc.solve (Sm.Inc.remove_task st' ~at:0) with
+  match Sm.Inc.solve (Sm.Inc.make ~tau [| (Sm.Inc.jobs st').(1) |]) with
   | Ok starts -> check_rat "survivor at release" (r 0) starts.(0)
   | Error `Infeasible -> Alcotest.fail "one unit job fits"
 
-(* Which path one [add_task] took, read from the counters it emits into
-   a memory sink. *)
-let add_path st ~at ~release ~deadline =
-  let sink, events = Obs.Sink.memory () in
-  Obs.install sink;
-  let st' =
-    Fun.protect ~finally:Obs.uninstall (fun () -> Sm.Inc.add_task st ~at ~release ~deadline)
-  in
-  let paths =
-    List.filter_map
-      (fun (e : Obs.event) ->
-        match e.kind with
-        | Obs.Counter _ when e.name = "eedf.inc_append" -> Some `Append
-        | Obs.Counter _ when e.name = "eedf.inc_resweep" -> Some `Resweep
-        | _ -> None)
-      (events ())
-  in
-  Obs.reset_metrics ();
-  match paths with
-  | [ p ] -> (st', p)
-  | _ -> Alcotest.failf "expected exactly one path counter, got %d" (List.length paths)
-
 (* The append test's boundaries, each from the trap state (tau = 2,
    max release 1, max deadline 10, one forbidden region): bounds met
-   exactly take the append path, a quarter unit short rebuilds, and
-   every resulting state agrees with the reference, before and after a later
-   drop of the new job and of a resident one. *)
+   exactly append, a quarter unit short is refused (and rebuilt), and
+   every resulting state agrees with the reference. *)
 let test_inc_append_boundaries () =
   let tau = r 2 and q = Rat.make 1 4 in
   let st = Sm.Inc.make ~tau (trap_instance ()) in
   let cases =
     [
-      ("both bounds exact", 2, r 8, r 12, `Append);
-      ("deadline bound exact", 2, r 7, r 12, `Append);
-      ("window bound exact", 2, r 9, r 13, `Append);
-      ("deadline a quarter short", 2, r 7, Rat.sub (r 12) q, `Resweep);
-      ("window a quarter short", 2, Rat.add (r 8) q, r 12, `Resweep);
-      ("release equal to the max release", 2, r 1, r 14, `Resweep);
-      ("not at the end", 1, r 8, r 12, `Resweep);
+      ("both bounds exact", r 8, r 12, `Append);
+      ("deadline bound exact", r 7, r 12, `Append);
+      ("window bound exact", r 9, r 13, `Append);
+      ("deadline a quarter short", r 7, Rat.sub (r 12) q, `Rebuild);
+      ("window a quarter short", Rat.add (r 8) q, r 12, `Rebuild);
+      ("release equal to the max release", r 1, r 14, `Rebuild);
     ]
   in
   List.iter
-    (fun (what, at, release, deadline, expected) ->
-      let st', path = add_path st ~at ~release ~deadline in
+    (fun (what, release, deadline, expected) ->
+      let st', path = append_or_make st ~release ~deadline in
       Alcotest.(check bool) (what ^ ": path") true (path = expected);
-      agree ~what ~tau st' (Sm.Inc.jobs st');
-      let dropped = Sm.Inc.remove_task st' ~at in
-      agree ~what:(what ^ ", new job dropped") ~tau dropped (Sm.Inc.jobs dropped);
-      let dropped = Sm.Inc.remove_task st' ~at:0 in
-      agree ~what:(what ^ ", resident dropped") ~tau dropped (Sm.Inc.jobs dropped))
+      agree ~what ~tau st' (Sm.Inc.jobs st'))
     cases;
   (* An infeasible state never appends, and a chain of appends from the
      empty state stays exact. *)
   let bad = Sm.Inc.make ~tau:(r 1) [| job 0 (r 0) (r 1); job 1 (r 0) (r 1) |] in
-  let bad', path = add_path bad ~at:2 ~release:(r 5) ~deadline:(r 9) in
-  Alcotest.(check bool) "infeasible state: path" true (path = `Resweep);
-  agree ~what:"infeasible state" ~tau:(r 1) bad' (Sm.Inc.jobs bad');
+  Alcotest.(check bool) "infeasible state: refused" true
+    (Sm.Inc.append bad ~release:(r 5) ~deadline:(r 9) = None);
   let st = ref (Sm.Inc.make ~tau [||]) in
   for k = 0 to 4 do
-    let st', path = add_path !st ~at:k ~release:(r (5 * k)) ~deadline:(r ((5 * k) + 4)) in
+    let st', path = append_or_make !st ~release:(r (5 * k)) ~deadline:(r ((5 * k) + 4)) in
     Alcotest.(check bool) (Printf.sprintf "chain %d: path" k) true (path = `Append);
     agree ~what:(Printf.sprintf "chain %d" k) ~tau st' (Sm.Inc.jobs st');
     st := st'
@@ -303,17 +290,17 @@ let test_inc_append_boundaries () =
 let test_inc_rebuild_then_append () =
   let tau = r 2 in
   let st = Sm.Inc.make ~tau (trap_instance ()) in
-  let st', path = add_path st ~at:1 ~release:(q "0.5") ~deadline:(r 9) in
-  Alcotest.(check bool) "in-horizon add rebuilds" true (path = `Resweep);
+  let st', path = append_or_make st ~release:(q "0.5") ~deadline:(r 9) in
+  Alcotest.(check bool) "in-horizon add rebuilds" true (path = `Rebuild);
   agree ~what:"after the rebuild" ~tau st' (Sm.Inc.jobs st');
-  let st'', path = add_path st' ~at:3 ~release:(r 9) ~deadline:(r 13) in
+  let st'', path = append_or_make st' ~release:(r 9) ~deadline:(r 13) in
   Alcotest.(check bool) "past-horizon arrival appends" true (path = `Append);
   Alcotest.(check int) "four jobs" 4 (Sm.Inc.n_jobs st'');
   agree ~what:"after the append" ~tau st'' (Sm.Inc.jobs st'')
 
-(* Random churn property: a chain of adds then drops, checked against
-   the reference at every step (the unit-test-sized sibling of the
-   eedf-inc fuzz class). *)
+(* Random growth property: a chain of arrivals, half of them past the
+   horizon, each appended or rebuilt and checked against the reference
+   (the unit-test-sized sibling of the eedf-inc fuzz class). *)
 let prop_inc_matches_scratch =
   QCheck.Test.make ~name:"single machine: incremental matches from-scratch under churn"
     ~count:200
@@ -324,25 +311,81 @@ let prop_inc_matches_scratch =
       let tau = Rat.make (2 + Prng.int g 7) 2 in
       let jobs = random_jobs g n in
       let st = ref (Sm.Inc.make ~tau [| jobs.(0) |]) in
-      let check what =
-        let jobs = Sm.Inc.jobs !st in
-        let scratch = Ref.schedule ~tau (to_ref (reid jobs)) in
+      for k = 1 to n - 1 do
+        let j =
+          if Prng.int g 2 = 0 then jobs.(k)
+          else
+            (* Shift the job past every resident release and deadline. *)
+            let top =
+              Array.fold_left
+                (fun acc (j : Sm.job) -> Rat.max acc (Rat.max j.release j.deadline))
+                Rat.zero (Sm.Inc.jobs !st)
+            in
+            { (jobs.(k)) with
+              release = Rat.add top jobs.(k).release;
+              deadline = Rat.add top jobs.(k).deadline }
+        in
+        st := fst (append_or_make !st ~release:j.release ~deadline:j.deadline);
+        let scratch = Ref.schedule ~tau (to_ref (reid (Sm.Inc.jobs !st))) in
         match (Sm.Inc.solve !st, scratch) with
         | Error `Infeasible, Error `Infeasible -> ()
-        | Ok a, Ok b when Array.length a = Array.length b && Array.for_all2 Rat.equal a b ->
-            ()
-        | _ -> QCheck.Test.fail_reportf "diverged at %s" what
-      in
-      for k = 1 to n - 1 do
-        let at = Prng.int g (Sm.Inc.n_jobs !st + 1) in
-        st := Sm.Inc.add_task !st ~at ~release:jobs.(k).Sm.release ~deadline:jobs.(k).Sm.deadline;
-        check (Printf.sprintf "add %d" k)
-      done;
-      while Sm.Inc.n_jobs !st > 1 do
-        st := Sm.Inc.remove_task !st ~at:(Prng.int g (Sm.Inc.n_jobs !st));
-        check "drop"
+        | Ok a, Ok b when Array.length a = Array.length b && Array.for_all2 Rat.equal a b -> ()
+        | _ -> QCheck.Test.fail_reportf "diverged at arrival %d" k
       done;
       true)
+
+(* Extending a warm flow-shop handle does one thing per call: appends
+   a past-horizon tail exactly, or rebuilds once — never once per new
+   task.  Counted from the events the extension emits into a memory
+   sink. *)
+let test_extend_rebuilds_once () =
+  let module Solver = E2e_core.Solver in
+  let module Flow_shop = E2e_model.Flow_shop in
+  let shop tasks =
+    Flow_shop.of_params (Array.of_list (List.map (fun (a, b) -> (r a, r b, [| r 1; r 1 |])) tasks))
+  in
+  let base = [ (0, 4); (1, 6); (2, 8); (3, 9) ] in
+  let handle =
+    match Solver.Incremental.solve_with_state (shop base) with
+    | _, Some h -> h
+    | _, None -> Alcotest.fail "base shop is feasible"
+  in
+  let counts h grown =
+    let sink, events = Obs.Sink.memory () in
+    Obs.install sink;
+    let h' = Fun.protect ~finally:Obs.uninstall (fun () -> Solver.Incremental.extend h grown) in
+    let count p = List.length (List.filter p (events ())) in
+    let counter name =
+      count (fun (e : Obs.event) ->
+          e.name = name && match e.kind with Obs.Counter _ -> true | _ -> false)
+    in
+    let spans name = count (fun (e : Obs.event) -> e.name = name && e.kind = Obs.Span_begin) in
+    let c =
+      ( counter "eedf.inc_resweep",
+        counter "eedf.inc_append",
+        spans "single_machine.forbidden_regions" )
+    in
+    Obs.reset_metrics ();
+    match h' with
+    | None -> Alcotest.fail "extend refused an identical-length extension"
+    | Some h' ->
+        (match (Solver.Incremental.verdict h' grown, Solver.solve grown) with
+        | Solver.Feasible (a, _), Solver.Feasible (b, _) ->
+            Alcotest.(check bool) "warm schedule equals cold" true (a = b)
+        | Solver.Proved_infeasible _, Solver.Proved_infeasible _ -> ()
+        | _ -> Alcotest.fail "warm and cold verdicts differ");
+        c
+  in
+  let in_horizon = shop [ (0, 4); (1, 5); (1, 6); (2, 8); (2, 10); (3, 9) ] in
+  let resweeps, appends, passes = counts handle in_horizon in
+  Alcotest.(check int) "in-horizon: one rebuild" 1 resweeps;
+  Alcotest.(check int) "in-horizon: no append" 0 appends;
+  Alcotest.(check int) "in-horizon: one region build" 1 passes;
+  let past_horizon = shop (base @ [ (10, 14); (12, 17) ]) in
+  let resweeps, appends, passes = counts handle past_horizon in
+  Alcotest.(check int) "past-horizon: no rebuild" 0 resweeps;
+  Alcotest.(check int) "past-horizon: two appends" 2 appends;
+  Alcotest.(check int) "past-horizon: no region build" 0 passes
 
 let suite =
   [
@@ -362,4 +405,5 @@ let suite =
     to_alcotest prop_inc_matches_scratch;
     Alcotest.test_case "incremental: rebuild then append" `Quick test_inc_rebuild_then_append;
     Alcotest.test_case "fold/tree kernel boundary vs reference" `Quick test_kernel_boundary;
+    Alcotest.test_case "incremental: one rebuild per extend" `Quick test_extend_rebuilds_once;
   ]

@@ -8,6 +8,7 @@ module Json = E2e_obs.Json
 module Quantile = E2e_obs.Quantile
 module Admission = E2e_serve.Admission
 module Batcher = E2e_serve.Batcher
+module Stripes = E2e_serve.Stripes
 module Protocol = E2e_serve.Protocol
 module Rtrace = E2e_serve.Rtrace
 module Schema = Rtrace.Schema
@@ -39,7 +40,7 @@ let traced_run ~jobs =
   install_det_clock ();
   Rtrace.set_writer (Some (fun line -> Buffer.add_string buf line; Buffer.add_char buf '\n'));
   let config = { Batcher.default_config with Batcher.jobs; Batcher.cache_capacity = 64 } in
-  let outcomes = Batcher.process_log (Batcher.create ~config ()) log in
+  let outcomes = Stripes.process_log (Stripes.create ~config ()) log in
   Rtrace.set_writer None;
   (Buffer.contents buf, Test_serve.render_outcomes outcomes)
 
@@ -178,7 +179,7 @@ let test_replies_unchanged_by_tracing () =
   let plain =
     let config = { Batcher.default_config with Batcher.cache_capacity = 64 } in
     Test_serve.render_outcomes
-      (Batcher.process_log (Batcher.create ~config ()) log)
+      (Stripes.process_log (Stripes.create ~config ()) log)
   in
   let _, traced = traced_run ~jobs:1 in
   Alcotest.(check string) "replies identical with tracing on" plain traced
@@ -194,8 +195,9 @@ let test_metrics_command () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "metrics takes no arguments");
   let config = { Batcher.default_config with Batcher.cache_capacity = 64 } in
-  let batcher = Batcher.create ~config () in
-  ignore (Batcher.process_log batcher log);
+  let stripes = Stripes.create ~config () in
+  ignore (Stripes.process_log stripes log);
+  let batcher = Stripes.batcher stripes 0 in
   let reply = Protocol.render_metrics batcher in
   Alcotest.(check bool) "reply framed as metrics" true
     (String.starts_with ~prefix:"metrics " reply);
@@ -235,8 +237,9 @@ let test_metrics_command () =
 let test_service_stats () =
   with_clean_telemetry @@ fun () ->
   let config = { Batcher.default_config with Batcher.cache_capacity = 64 } in
-  let batcher = Batcher.create ~config () in
-  ignore (Batcher.process_log batcher log);
+  let stripes = Stripes.create ~config () in
+  ignore (Stripes.process_log stripes log);
+  let batcher = Stripes.batcher stripes 0 in
   let stats = Batcher.service_stats batcher in
   Alcotest.(check int) "every request submitted" (List.length log)
     stats.Batcher.submitted;
