@@ -346,8 +346,4 @@ let step t =
                       { shop; n_tasks = Recurrence_shop.n_tasks candidate; decision } ))
             slots)
 
-let drain t =
-  let rec go acc = match step t with [] -> List.concat (List.rev acc) | r -> go (r :: acc) in
-  go []
-
 type outcome = Reply of Admission.reply | Overloaded

@@ -128,9 +128,6 @@ val step : t -> (Admission.request * Rtrace.t * Admission.reply) list
     submission order.  The caller must {!Rtrace.finish} each returned
     context after rendering its reply (a no-op when tracing is off). *)
 
-val drain : t -> (Admission.request * Rtrace.t * Admission.reply) list
-(** [step] until the queue is empty, concatenating the replies. *)
-
 type outcome = Reply of Admission.reply | Overloaded
 (** A replayed request's answer ({!Stripes.process_log}): its reply,
     or [Overloaded] when it arrived past the queue capacity. *)

@@ -280,38 +280,12 @@ let render_hello ~requested =
   if requested = version then "ok " ^ version
   else "error unsupported version " ^ quote requested ^ " (this server speaks " ^ version ^ ")"
 
-(* Both the single-batcher and the striped transports render stats and
-   metrics from the same aggregate view, so the line formats agree and
-   a striped server's exposition is the per-stripe sum. *)
-type agg = {
-  agg_pending : int;
-  agg_shops : int;
-  agg_tasks : int;
-  agg_warm : int;
-  agg_svc : Batcher.service_stats;
-  agg_cache : Cache.stats option;
-}
+(* [stats] and [metrics] sum over the stripes, so a striped server's
+   figures are the per-stripe totals. *)
+let sum_engines stripes f =
+  Array.fold_left (fun acc b -> acc + f (Batcher.engine b)) 0 (Stripes.batchers stripes)
 
-let agg_of_batchers batchers ~pending ~cache ~svc =
-  let sum f = Array.fold_left (fun acc b -> acc + f b) 0 batchers in
-  {
-    agg_pending = pending;
-    agg_shops = sum (fun b -> List.length (Admission.shops (Batcher.engine b)));
-    agg_tasks = sum (fun b -> Admission.n_committed (Batcher.engine b));
-    agg_warm = sum (fun b -> Admission.warm_resident (Batcher.engine b));
-    agg_svc = svc;
-    agg_cache = cache;
-  }
-
-let agg_of_batcher b =
-  agg_of_batchers [| b |] ~pending:(Batcher.pending b) ~cache:(Batcher.cache_stats b)
-    ~svc:(Batcher.service_stats b)
-
-let agg_of_stripes s =
-  agg_of_batchers (Stripes.batchers s) ~pending:(Stripes.pending s)
-    ~cache:(Stripes.cache_stats s) ~svc:(Stripes.service_stats s)
-
-let stats_of_agg ?read_errors a =
+let render_stats_striped ?read_errors stripes =
   let buf = Buffer.create 160 in
   let field name v =
     Buffer.add_char buf ' ';
@@ -320,10 +294,10 @@ let stats_of_agg ?read_errors a =
     Rat.add_int_to_buffer buf v
   in
   Buffer.add_string buf "stats";
-  field "pending" a.agg_pending;
-  field "shops" a.agg_shops;
-  field "tasks" a.agg_tasks;
-  (match a.agg_cache with
+  field "pending" (Stripes.pending stripes);
+  field "shops" (sum_engines stripes (fun e -> List.length (Admission.shops e)));
+  field "tasks" (sum_engines stripes Admission.n_committed);
+  (match Stripes.cache_stats stripes with
   | None -> Buffer.add_string buf " cache=off"
   | Some { Cache.hits; misses; evictions; size } ->
       field "cache_hits" hits;
@@ -333,25 +307,22 @@ let stats_of_agg ?read_errors a =
   Option.iter (field "read_errors") read_errors;
   Buffer.contents buf
 
-let render_stats batcher = stats_of_agg (agg_of_batcher batcher)
-
-let render_stats_striped ?read_errors stripes =
-  stats_of_agg ?read_errors (agg_of_stripes stripes)
-
 (* The [metrics] reply: live batcher-derived exposition lines (always
    available, registry on or off) followed by the registry's own
    exposition.  The live names are chosen disjoint from any registry
-   name's mangling, so the concatenation never repeats a sample. *)
-let metrics_of_agg ?(extra = []) a =
+   name's mangling, so the concatenation never repeats a sample.
+   [read_errors] comes from a listener and adds the listener's
+   samples. *)
+let render_metrics_striped ?read_errors stripes =
   let module Obs = E2e_obs.Obs in
   let line ?labels name v = Obs.exposition_line ?labels name v in
   let iline ?labels name v = line ?labels name (float_of_int v) in
-  let svc = a.agg_svc in
+  let svc = Stripes.service_stats stripes in
   let live =
     [
-      iline "serve_queue_depth" a.agg_pending;
-      iline "serve_committed_shops" a.agg_shops;
-      iline "serve_committed_tasks" a.agg_tasks;
+      iline "serve_queue_depth" (Stripes.pending stripes);
+      iline "serve_committed_shops" (sum_engines stripes (fun e -> List.length (Admission.shops e)));
+      iline "serve_committed_tasks" (sum_engines stripes Admission.n_committed);
       iline "serve_submitted_total" svc.Batcher.submitted;
       iline "serve_backpressure_rejections_total" svc.Batcher.rejected_backpressure;
       iline "serve_batches_completed_total" svc.Batcher.batches;
@@ -361,14 +332,20 @@ let metrics_of_agg ?(extra = []) a =
       iline "serve_verify_downgrades_total" svc.Batcher.verify_failures;
       iline "serve_incremental_hits_total" svc.Batcher.inc_hits;
       iline "serve_incremental_misses_total" svc.Batcher.inc_misses;
-      iline "serve_warm_resident_tasks" a.agg_warm;
+      iline "serve_warm_resident_tasks" (sum_engines stripes Admission.warm_resident);
     ]
-    @ extra
+    @ (match read_errors with
+      | None -> []
+      | Some n ->
+          [
+            iline "serve_stripes" (Stripes.count stripes);
+            iline "serve_transport_read_errors_total" n;
+          ])
     @ List.map
         (fun (shop, n) ->
           iline ~labels:[ ("shop", shop) ] "serve_shop_resident_tasks" n)
         svc.Batcher.resident
-    @ (match a.agg_cache with
+    @ (match Stripes.cache_stats stripes with
       | None -> []
       | Some { Cache.hits; misses; evictions; size } ->
           [
@@ -389,16 +366,3 @@ let metrics_of_agg ?(extra = []) a =
   in
   let lines = live @ Obs.exposition_lines () in
   "metrics " ^ String.concat ";" lines
-
-let render_metrics batcher = metrics_of_agg (agg_of_batcher batcher)
-
-let render_metrics_striped ?(read_errors = 0) stripes =
-  let module Obs = E2e_obs.Obs in
-  let iline name v = Obs.exposition_line name (float_of_int v) in
-  metrics_of_agg
-    ~extra:
-      [
-        iline "serve_stripes" (Stripes.count stripes);
-        iline "serve_transport_read_errors_total" read_errors;
-      ]
-    (agg_of_stripes stripes)

@@ -123,11 +123,12 @@ let keyer_stats t =
     t.batchers
 
 (* Sequential replay: submit every request in log order to its stripe,
-   drain each stripe, and scatter the replies back to log positions.
-   Each stripe's drain is in its own submission order, which is the
-   log-order restriction to that stripe — so per-request outcomes are
-   independent of the stripe count (the array this module's
-   determinism tests compare). *)
+   step each stripe until it is empty, and scatter the replies back to
+   log positions.  Each stripe steps in its own submission order, which
+   is the log-order restriction to that stripe — so per-request
+   outcomes are independent of the stripe count (the array this
+   module's determinism tests compare).  A trace closes in the step
+   that produced its reply, so its render stage holds no later batch. *)
 let process_log t log =
   let log = Array.of_list log in
   let outcomes = Array.make (Array.length log) Batcher.Overloaded in
@@ -140,10 +141,17 @@ let process_log t log =
     log;
   Array.iteri
     (fun k b ->
-      List.iter
-        (fun (_, tr, reply) ->
-          Rtrace.finish tr;
-          outcomes.(Queue.pop queued.(k)) <- Batcher.Reply reply)
-        (Batcher.drain b))
+      let rec drain () =
+        match Batcher.step b with
+        | [] -> ()
+        | replies ->
+            List.iter
+              (fun (_, tr, reply) ->
+                Rtrace.finish tr;
+                outcomes.(Queue.pop queued.(k)) <- Batcher.Reply reply)
+              replies;
+            drain ()
+      in
+      drain ())
     t.batchers;
   outcomes

@@ -81,6 +81,7 @@ val keyer_stats : t -> Cache.Keyer.stats
 val process_log : t -> Admission.request list -> Batcher.outcome array
 (** Replay a whole request log: submit every request in log order to
     its stripe (requests past a stripe's queue capacity get
-    {!Batcher.Overloaded}), drain every stripe, and scatter replies
-    back to log positions.  [outcomes.(i)] answers request [i] — the
+    {!Batcher.Overloaded}), step every stripe until it is empty, and
+    scatter replies back to log positions.  Each request's trace is
+    finished ({!Rtrace.finish}) in the step that produced its reply.  [outcomes.(i)] answers request [i] — the
     array the stripe-determinism tests compare across stripe counts. *)

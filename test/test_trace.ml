@@ -197,8 +197,7 @@ let test_metrics_command () =
   let config = { Batcher.default_config with Batcher.cache_capacity = 64 } in
   let stripes = Stripes.create ~config () in
   ignore (Stripes.process_log stripes log);
-  let batcher = Stripes.batcher stripes 0 in
-  let reply = Protocol.render_metrics batcher in
+  let reply = Protocol.render_metrics_striped stripes in
   Alcotest.(check bool) "reply framed as metrics" true
     (String.starts_with ~prefix:"metrics " reply);
   let lines =
@@ -253,6 +252,31 @@ let test_service_stats () =
   in
   Alcotest.(check bool) "shop verdicts recorded" true (verdict_total > 0)
 
+(* A replayed request's trace closes in the step that produced its
+   reply: of two requests on one shop (two batches), the first one's
+   render stage ends before the second batch begins, so render holds
+   no drain-wait. *)
+let test_render_excludes_later_batches () =
+  with_clean_telemetry @@ fun () ->
+  let buf = Buffer.create 1024 in
+  install_det_clock ();
+  Rtrace.set_writer (Some (fun line -> Buffer.add_string buf line; Buffer.add_char buf '\n'));
+  let log = [ Admission.Query { shop = "s" }; Admission.Query { shop = "s" } ] in
+  let stripes = Stripes.create () in
+  ignore (Stripes.process_log stripes log);
+  Rtrace.set_writer None;
+  Alcotest.(check int) "two batches" 2
+    (Stripes.service_stats stripes).Batcher.batches;
+  let records = parse_trace (Buffer.contents buf) in
+  let find id stage =
+    List.find (fun (r : Schema.record) -> r.id = id && r.stage = stage) records
+  in
+  let render1 = find 1 "render" and queue2 = find 2 "queue" in
+  Alcotest.(check bool)
+    (Printf.sprintf "first render ends (%g) before the second batch starts (%g)" render1.t
+       queue2.t)
+    true (render1.t < queue2.t)
+
 let suite =
   [
     Alcotest.test_case "trace deterministic across -j" `Quick test_trace_deterministic;
@@ -264,4 +288,6 @@ let suite =
       test_replies_unchanged_by_tracing;
     Alcotest.test_case "metrics protocol command" `Quick test_metrics_command;
     Alcotest.test_case "service stats" `Quick test_service_stats;
+    Alcotest.test_case "replay render excludes later batches" `Quick
+      test_render_excludes_later_batches;
   ]
